@@ -1,5 +1,6 @@
 module A = Attack_experiment
 module Pool = Ipds_parallel.Pool
+module Json = Ipds_obs.Json
 
 type config = {
   universes : A.universe list;

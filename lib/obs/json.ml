@@ -27,9 +27,19 @@ let float_repr f =
     let s = Printf.sprintf "%.12g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-let to_string t =
-  let buf = Buffer.create 128 in
-  let rec go = function
+(* One printer for both layouts: [pretty] breaks before every list item
+   and object field and closes each non-empty container on its own line,
+   indenting 2 spaces per level; compact output has no whitespace at
+   all, so one value per line is valid JSONL. *)
+let render ~pretty t =
+  let buf = Buffer.create 256 in
+  let break level =
+    if pretty then begin
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (String.make (2 * level) ' ')
+    end
+  in
+  let rec go level = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (string_of_bool b)
     | Int n -> Buffer.add_string buf (string_of_int n)
@@ -38,32 +48,46 @@ let to_string t =
         Buffer.add_char buf '"';
         escape buf s;
         Buffer.add_char buf '"'
+    | List [] -> Buffer.add_string buf "[]"
+    | Obj [] -> Buffer.add_string buf "{}"
     | List items ->
         Buffer.add_char buf '[';
         List.iteri
           (fun i item ->
             if i > 0 then Buffer.add_char buf ',';
-            go item)
+            break (level + 1);
+            go (level + 1) item)
           items;
+        break level;
         Buffer.add_char buf ']'
     | Obj fields ->
         Buffer.add_char buf '{';
         List.iteri
           (fun i (k, v) ->
             if i > 0 then Buffer.add_char buf ',';
+            break (level + 1);
             Buffer.add_char buf '"';
             escape buf k;
-            Buffer.add_string buf "\":";
-            go v)
+            Buffer.add_string buf (if pretty then "\": " else "\":");
+            go (level + 1) v)
           fields;
+        break level;
         Buffer.add_char buf '}'
   in
-  go t;
+  go 0 t;
   Buffer.contents buf
 
+let to_string t = render ~pretty:false t
+let to_string_pretty t = render ~pretty:true t
+
+(* Atomic: a crash mid-write leaves at worst a stale temp file, never a
+   truncated document at [path].  The temp name is unique per process
+   and per call — a fixed [path ^ ".tmp"] would let two concurrent
+   writers (parallel runs sharing an output dir, or two domains)
+   interleave write/rename and publish a mixed document. *)
 let tmp_serial = Atomic.make 0
 
-let write_file path t =
+let publish render path t =
   let tmp =
     Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
       (Atomic.fetch_and_add tmp_serial 1)
@@ -73,7 +97,7 @@ let write_file path t =
      Fun.protect
        ~finally:(fun () -> close_out oc)
        (fun () ->
-         output_string oc (to_string t);
+         output_string oc (render t);
          output_char oc '\n')
    with
   | () -> ()
@@ -85,3 +109,166 @@ let write_file path t =
   | exception e ->
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
+
+let write_file path t = publish to_string path t
+let write_file_pretty path t = publish to_string_pretty path t
+
+(* ---------- parsing (for report validation and the smoke tests) ---------- *)
+
+exception Parse_error of string
+
+let of_string s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail fmt =
+    Printf.ksprintf (fun m -> raise (Parse_error (Printf.sprintf "%s at %d" m !pos))) fmt
+  in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let skip_ws () =
+    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+    do advance () done
+  in
+  let expect c =
+    match peek () with
+    | Some c' when c' = c -> advance ()
+    | Some c' -> fail "expected %C, found %C" c c'
+    | None -> fail "expected %C, found end of input" c
+  in
+  let literal word v =
+    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
+    then begin
+      pos := !pos + String.length word;
+      v
+    end
+    else fail "bad literal"
+  in
+  let parse_string () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then fail "unterminated string"
+      else
+        match s.[!pos] with
+        | '"' -> advance ()
+        | '\\' ->
+            advance ();
+            (if !pos >= n then fail "unterminated escape"
+             else
+               match s.[!pos] with
+               | '"' -> Buffer.add_char buf '"'; advance ()
+               | '\\' -> Buffer.add_char buf '\\'; advance ()
+               | '/' -> Buffer.add_char buf '/'; advance ()
+               | 'n' -> Buffer.add_char buf '\n'; advance ()
+               | 'r' -> Buffer.add_char buf '\r'; advance ()
+               | 't' -> Buffer.add_char buf '\t'; advance ()
+               | 'b' -> Buffer.add_char buf '\b'; advance ()
+               | 'f' -> Buffer.add_char buf '\012'; advance ()
+               | 'u' ->
+                   advance ();
+                   if !pos + 4 > n then fail "truncated \\u escape";
+                   let code =
+                     try int_of_string ("0x" ^ String.sub s !pos 4)
+                     with Failure _ -> fail "bad \\u escape"
+                   in
+                   pos := !pos + 4;
+                   (* encode the code point as UTF-8; our own emitter only
+                      produces \u00xx, but accept the full BMP *)
+                   if code < 0x80 then Buffer.add_char buf (Char.chr code)
+                   else if code < 0x800 then begin
+                     Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+                     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                   end
+                   else begin
+                     Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+                     Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                   end
+               | c -> fail "bad escape \\%C" c);
+            go ()
+        | c -> Buffer.add_char buf c; advance (); go ()
+    in
+    go ();
+    Buffer.contents buf
+  in
+  let parse_number () =
+    let start = !pos in
+    let is_float = ref false in
+    let continue = ref true in
+    while !continue && !pos < n do
+      match s.[!pos] with
+      | '0' .. '9' | '-' | '+' -> advance ()
+      | '.' | 'e' | 'E' ->
+          is_float := true;
+          advance ()
+      | _ -> continue := false
+    done;
+    let text = String.sub s start (!pos - start) in
+    if !is_float then
+      match float_of_string_opt text with
+      | Some f -> Float f
+      | None -> fail "bad number %S" text
+    else
+      match int_of_string_opt text with
+      | Some i -> Int i
+      | None -> fail "bad number %S" text
+  in
+  let rec parse_value () =
+    skip_ws ();
+    match peek () with
+    | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin advance (); Obj [] end
+        else begin
+          let fields = ref [] in
+          let rec field () =
+            skip_ws ();
+            let k = parse_string () in
+            skip_ws ();
+            expect ':';
+            let v = parse_value () in
+            fields := (k, v) :: !fields;
+            skip_ws ();
+            match peek () with
+            | Some ',' -> advance (); field ()
+            | Some '}' -> advance ()
+            | _ -> fail "expected ',' or '}'"
+          in
+          field ();
+          Obj (List.rev !fields)
+        end
+    | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin advance (); List [] end
+        else begin
+          let items = ref [] in
+          let rec item () =
+            let v = parse_value () in
+            items := v :: !items;
+            skip_ws ();
+            match peek () with
+            | Some ',' -> advance (); item ()
+            | Some ']' -> advance ()
+            | _ -> fail "expected ',' or ']'"
+          in
+          item ();
+          List (List.rev !items)
+        end
+    | Some '"' -> String (parse_string ())
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
+    | Some ('-' | '0' .. '9') -> parse_number ()
+    | Some c -> fail "unexpected %C" c
+    | None -> fail "unexpected end of input"
+  in
+  let v = parse_value () in
+  skip_ws ();
+  if !pos <> n then fail "trailing input";
+  v
+
+let member key = function
+  | Obj fields -> List.assoc_opt key fields
+  | Null | Bool _ | Int _ | Float _ | String _ | List _ -> None

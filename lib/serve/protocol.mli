@@ -161,10 +161,6 @@ val ignore_sigpipe : unit -> unit
     by {!Server.start} and {!Client.connect}; idempotent, a no-op on
     platforms without SIGPIPE. *)
 
-val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
-(** Write [len] bytes from [pos] (handles partial writes and EINTR).
-    Raises [Unix_error] on IO failure. *)
-
 val output_frame : Unix.file_descr -> frame -> unit
 (** Write a whole frame (handles partial writes).  Raises [Unix_error]
     on IO failure — callers own the error policy for their peer. *)

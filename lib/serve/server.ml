@@ -16,12 +16,8 @@
 
    Loaded systems live in an {!Ipds_fleet.Shard_cache}: N independently
    locked LRU shards keyed by artifact key, so concurrent loads only
-   contend when they actually race the same shard.
-
-   The observable protocol behaviour (replies, typed errors, stable
-   serve.* metrics) is identical to {!Server_threaded}, the preserved
-   PR-5 implementation — serve_smoke drives both paths and the
-   byte-identity phases hold across either. *)
+   contend when they actually race the same shard; every {!Session}
+   of the server shares it. *)
 
 module Store = Ipds_artifact.Store
 module Shard_cache = Ipds_fleet.Shard_cache
@@ -113,15 +109,6 @@ let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
    shared pre-encoded frame; queued chunks are write-only, so sharing
    the bytes across connections is safe. *)
 let empty_verdicts = lazy (Protocol.encode_frame (Protocol.Verdicts []))
-
-let cache_fetch t key load =
-  match
-    Shard_cache.fetch t.cache key (fun () ->
-        match load () with `Ok sys -> Ok sys | `Err e -> Error e)
-  with
-  | `Hit sys -> `Hit sys
-  | `Loaded sys -> `Loaded sys
-  | `Err e -> `Err e
 
 (* {2 Connection output} *)
 
@@ -312,7 +299,7 @@ let adopt t r =
           fd;
           session =
             Session.create ?peer_fetch:t.peer_fetch ~store:t.store
-              ~fetch:(cache_fetch t) ();
+              ~cache:t.cache ();
           inbuf = Bytes.create 65536;
           in_start = 0;
           in_len = 0;

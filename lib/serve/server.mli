@@ -23,11 +23,7 @@
     [serve.protocol_errors], [serve.state_errors]) sum per-session
     deterministic work, so their totals are independent of [jobs] and
     scheduling; timeout/cache/overload counters and the batch-latency
-    histogram are registered unstable.
-
-    The thread-per-session predecessor is preserved as
-    {!Server_threaded} (bench baseline); observable protocol behaviour
-    is identical. *)
+    histogram are registered unstable. *)
 
 type peer_sharing = {
   peer_topology : Ipds_fleet.Topology.t;

@@ -1,7 +1,6 @@
-(* Per-connection protocol logic, shared by both server implementations
-   (the {!Server} event-loop reactor and the {!Server_threaded} PR-5
-   baseline): the frame state machine, the serve.* metrics, the typed
-   error classification, and the zero-materialization fast path for
+(* Per-connection protocol logic of the {!Server} event-loop reactor:
+   the frame state machine, the serve.* metrics, the typed error
+   classification, and the zero-materialization fast path for
    [Branch_events] spans.
 
    Stable counters are sums of per-session deterministic work, so their
@@ -14,6 +13,7 @@ module Event = Ipds_machine.Event
 module System = Ipds_core.System
 module Checker = Ipds_core.Checker
 module Store = Ipds_artifact.Store
+module Shard_cache = Ipds_fleet.Shard_cache
 module Reg = Ipds_obs.Registry
 
 let m_sessions = Reg.counter "serve.sessions"
@@ -36,19 +36,9 @@ let now_micros () = int_of_float (Unix.gettimeofday () *. 1e6)
 
 exception State_violation of string
 
-(* Both servers cache loaded systems behind this shape; the reactor
-   plugs in the sharded {!Ipds_fleet.Shard_cache}, the threaded baseline
-   its original single-lock LRU. *)
-type fetch =
-  string ->
-  (unit -> [ `Ok of System.t | `Err of Protocol.error_code * string ]) ->
-  [ `Hit of System.t
-  | `Loaded of System.t
-  | `Err of Protocol.error_code * string ]
-
 type t = {
   store : Store.t option;
-  fetch : fetch;
+  cache : System.t Shard_cache.t;
   peer_fetch : (string -> (string, Protocol.err) result) option;
   mutable system : System.t option;
   mutable checker : Checker.t option;
@@ -66,11 +56,11 @@ type t = {
   mutable st_ncallees : int;
 }
 
-let create ?peer_fetch ~store ~fetch () =
+let create ?peer_fetch ~store ~cache () =
   Reg.incr m_sessions;
   {
     store;
-    fetch;
+    cache;
     peer_fetch;
     system = None;
     checker = None;
@@ -84,8 +74,8 @@ let create ?peer_fetch ~store ~fetch () =
     st_ncallees = 0;
   }
 
-(* The cache key of an inline image: servers, routing clients and the
-   legacy router must all derive it identically.  SHA-256 so the key is
+(* The cache key of an inline image: the server and routing clients
+   must derive it identically.  SHA-256 so the key is
    a collision-resistant content address, like store keys. *)
 let image_key image = "img:" ^ Ipds_artifact.Sha256.hex_string image
 
@@ -154,7 +144,7 @@ let handle t ~send (f : Protocol.frame) =
           `Close
       | Some store -> (
           let miss () =
-            `Err
+            Error
               (Protocol.Unknown_artifact, "no loadable artifact for key " ^ key)
           in
           (* local store first; a cold shard then warms itself from a
@@ -163,7 +153,7 @@ let handle t ~send (f : Protocol.frame) =
              the next miss is a plain store hit *)
           let load () =
             match Store.load_system store key with
-            | Some sys -> `Ok sys
+            | Some sys -> Ok sys
             | None -> (
                 match t.peer_fetch with
                 | None -> miss ()
@@ -175,15 +165,15 @@ let handle t ~send (f : Protocol.frame) =
                         match verify_image bytes with
                         | Error m ->
                             Reg.incr m_artifact_verify_rejects;
-                            `Err
+                            Error
                               ( Protocol.Corrupt_artifact,
                                 "peer artifact failed verification: " ^ m )
                         | Ok sys ->
                             Reg.incr m_artifact_peer_loads;
                             ignore (Store.publish_image store key bytes);
-                            `Ok sys)))
+                            Ok sys)))
           in
-          match t.fetch key load with
+          match Shard_cache.fetch t.cache key load with
           | `Hit sys -> loaded t ~send ~name:key sys `Hit
           | `Loaded sys -> loaded t ~send ~name:key sys `Loaded
           | `Err (code, detail) ->
@@ -193,11 +183,11 @@ let handle t ~send (f : Protocol.frame) =
       let key = image_key image in
       let load () =
         match Ipds_artifact.Artifact.of_bytes (Bytes.of_string image) with
-        | sys -> `Ok sys
+        | sys -> Ok sys
         | exception Ipds_artifact.Artifact.Corrupt m ->
-            `Err (Protocol.Corrupt_artifact, m)
+            Error (Protocol.Corrupt_artifact, m)
       in
-      match t.fetch key load with
+      match Shard_cache.fetch t.cache key load with
       | `Hit sys -> loaded t ~send ~name sys `Hit
       | `Loaded sys -> loaded t ~send ~name sys `Loaded
       | `Err (code, detail) ->

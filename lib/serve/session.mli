@@ -1,16 +1,13 @@
-(** Per-connection protocol logic shared by the event-loop {!Server}
-    and the thread-per-session {!Server_threaded}: the frame state
-    machine, the [serve.*] metrics, typed-error classification, and the
-    zero-materialization fast path for [Branch_events] spans.  Keeping
-    one implementation of the session semantics is what makes the two
-    servers' observable behaviour (replies, typed errors, stable
-    metrics, alarms) provably the same thing. *)
+(** Per-connection protocol logic of the event-loop {!Server}: the
+    frame state machine, the [serve.*] metrics, typed-error
+    classification, and the zero-materialization fast path for
+    [Branch_events] spans. *)
 
 module Reg = Ipds_obs.Registry
 
 (** Stable counters (per-session deterministic work; byte-identical
-    across jobs/scheduling) — servers bump the frame counters
-    themselves since framing is transport-side. *)
+    across jobs/scheduling) — the server bumps the frame counters
+    itself since framing is transport-side. *)
 
 val m_sessions : Reg.counter
 val m_frames_in : Reg.counter
@@ -40,38 +37,30 @@ val m_timeouts : Reg.counter
 (** Unstable (timing-dependent). *)
 
 exception State_violation of string
-(** A Ret/Branch event against an empty checker stack; the servers turn
-    it into a typed [Bad_state] error. *)
-
-type fetch =
-  string ->
-  (unit ->
-  [ `Ok of Ipds_core.System.t | `Err of Protocol.error_code * string ]) ->
-  [ `Hit of Ipds_core.System.t
-  | `Loaded of Ipds_core.System.t
-  | `Err of Protocol.error_code * string ]
-(** The system-cache shape both servers plug in: the reactor an
-    {!Ipds_fleet.Shard_cache}, the baseline its single-lock LRU. *)
+(** A Ret/Branch event against an empty checker stack; the session
+    turns it into a typed [Bad_state] error. *)
 
 type t
 
 val create :
   ?peer_fetch:(string -> (string, Protocol.err) result) ->
   store:Ipds_artifact.Store.t option ->
-  fetch:fetch ->
+  cache:Ipds_core.System.t Ipds_fleet.Shard_cache.t ->
   unit ->
   t
-(** Counts [serve.sessions].  [peer_fetch] is the fleet hook consulted
-    on a [Load_key] local-store miss: it returns the raw container
-    bytes of the key from a warm peer, which the session verifies
+(** Counts [serve.sessions].  Loaded systems are looked up in and
+    inserted into [cache], which the server shares across sessions.
+    [peer_fetch] is the fleet hook consulted on a [Load_key]
+    local-store miss: it returns the raw container bytes of the key
+    from a warm peer, which the session verifies
     ({!Ipds_artifact.Artifact.of_bytes} + {!Ipds_core.Image.validate})
     and publishes locally before serving — a cold shard warms itself
     instead of answering [unknown-artifact]. *)
 
 val image_key : string -> string
 (** The cache key of an inline [.ipds] image ("img:" ^ SHA-256 hex) —
-    servers, routing clients and the legacy router must derive it
-    identically, so it lives here. *)
+    the server and routing clients must derive it identically, so it
+    lives here. *)
 
 val send_error : send:(Protocol.frame -> unit) -> Protocol.error_code -> string -> unit
 (** Classify into the error counters and emit one [Error] frame. *)

@@ -10,15 +10,13 @@
      (the store is shared, so failover costs a cache miss, not truth);
    - with the whole fleet down, connect_for_key is a typed
      [Unavailable] error, not an exception;
-   - the thin router serves legacy single-address clients byte-
-     identically, keeps routing around the dead shard, and answers a
-     dead fleet with one typed [Unavailable] error frame. *)
+   - a cold shard with its own store warms itself from a peer over the
+     artifact fetch frame, with zero compiles. *)
 
 module P = Ipds_serve.Protocol
 module Server = Ipds_serve.Server
 module Client = Ipds_serve.Client
 module Fleet_client = Ipds_serve.Fleet_client
-module Router = Ipds_serve.Router
 module Topology = Ipds_fleet.Topology
 module Backoff = Ipds_fleet.Backoff
 module W = Ipds_workloads.Workloads
@@ -178,97 +176,67 @@ let () =
   Printf.printf "1 ok: %d workloads over %d shards, all byte-identical\n%!"
     (List.length cases) (Hashtbl.length used);
 
-  section "2: legacy client through the router, byte-identical";
-  let router_sock = temp_path "-router.sock" in
-  Router.with_router ~topology (`Unix router_sock) (fun _router ->
-      List.iter
-        (fun (name, key, run) ->
-          let c = Client.connect (`Unix router_sock) in
-          ignore (ok (Client.load_key c key));
-          assert_equivalent ~what:("router/" ^ name) run (remote_check c run);
-          Client.close c)
-        (List.filteri (fun i _ -> i < 3) cases);
-      Printf.printf "2 ok: routed sessions byte-identical through the proxy\n%!";
-
-      section "3: dead shard -> typed unavailable, re-route, identical verdicts";
-      let name0, key0, run0 = List.hd cases in
-      let owner = Fleet_client.shard_of_key fc key0 in
-      stop_shard owner;
-      (match Fleet_client.connect_for_key fc key0 with
-      | Error e -> fail "failover gave up: %s" e.P.detail
-      | Ok routed ->
-          (match routed.Fleet_client.skipped with
-          | [ (e : P.err) ] ->
-              if e.P.code <> P.Unavailable then
-                fail "skipped shard error is %s, not unavailable"
-                  (P.error_code_to_string e.P.code)
-          | skipped ->
-              fail "expected exactly one skipped shard, got %d"
-                (List.length skipped));
-          if routed.Fleet_client.shard = owner then
-            fail "re-route landed on the dead owner";
-          let c = routed.Fleet_client.client in
-          ignore (ok (Client.load_key c key0));
-          assert_equivalent ~what:(name0 ^ "/failover") run0 (remote_check c run0);
-          Client.close c);
-      (* keys owned by surviving shards are untouched *)
-      List.iter
-        (fun (name, key, run) ->
-          if Fleet_client.shard_of_key fc key <> owner then begin
-            match Fleet_client.connect_for_key fc key with
-            | Error e -> fail "%s: survivor unreachable: %s" name e.P.detail
-            | Ok routed ->
-                if routed.Fleet_client.skipped <> [] then
-                  fail "%s: survivor-owned key paid a failover" name;
-                let c = routed.Fleet_client.client in
-                ignore (ok (Client.load_key c key));
-                assert_equivalent ~what:(name ^ "/survivor") run
-                  (remote_check c run);
-                Client.close c
-          end)
-        (List.filteri (fun i _ -> i < 4) cases);
-      (* the router fails over around the dead shard too *)
-      let c = Client.connect (`Unix router_sock) in
-      ignore (ok (Client.load_key c key0));
-      assert_equivalent ~what:(name0 ^ "/router-failover") run0
-        (remote_check c run0);
-      Client.close c;
-      Printf.printf "3 ok: one skipped typed unavailable, verdicts identical after re-route\n%!";
-
-      section "4: whole fleet down -> typed unavailable, no exceptions";
-      Array.iteri (fun i _ -> stop_shard i) servers;
-      (match Fleet_client.connect_for_key fc key0 with
-      | Ok routed ->
-          Client.close routed.Fleet_client.client;
-          fail "connect_for_key succeeded against a dead fleet"
-      | Error e ->
+  section "2: dead shard -> typed unavailable, re-route, identical verdicts";
+  let name0, key0, run0 = List.hd cases in
+  let owner = Fleet_client.shard_of_key fc key0 in
+  stop_shard owner;
+  (match Fleet_client.connect_for_key fc key0 with
+  | Error e -> fail "failover gave up: %s" e.P.detail
+  | Ok routed ->
+      (match routed.Fleet_client.skipped with
+      | [ (e : P.err) ] ->
           if e.P.code <> P.Unavailable then
-            fail "dead fleet error is %s, not unavailable"
-              (P.error_code_to_string e.P.code));
-      (* a legacy client through the router gets one typed error frame *)
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX router_sock);
-      P.output_frame fd (P.Load_key key0);
-      let reader = P.reader fd in
-      (match P.input_frame reader with
-      | P.In_frame (P.Error e) when e.P.code = P.Unavailable -> ()
-      | P.In_frame _ -> fail "router replied with a non-error frame"
-      | P.In_eof -> fail "router hung up without a typed error"
-      | P.In_error e ->
-          fail "router transport error: %s" (P.error_code_to_string e.P.code));
-      Unix.close fd;
-      Printf.printf "4 ok: dead fleet surfaces as typed unavailable everywhere\n%!");
+            fail "skipped shard error is %s, not unavailable"
+              (P.error_code_to_string e.P.code)
+      | skipped ->
+          fail "expected exactly one skipped shard, got %d"
+            (List.length skipped));
+      if routed.Fleet_client.shard = owner then
+        fail "re-route landed on the dead owner";
+      let c = routed.Fleet_client.client in
+      ignore (ok (Client.load_key c key0));
+      assert_equivalent ~what:(name0 ^ "/failover") run0 (remote_check c run0);
+      Client.close c);
+  (* keys owned by surviving shards are untouched *)
+  List.iter
+    (fun (name, key, run) ->
+      if Fleet_client.shard_of_key fc key <> owner then begin
+        match Fleet_client.connect_for_key fc key with
+        | Error e -> fail "%s: survivor unreachable: %s" name e.P.detail
+        | Ok routed ->
+            if routed.Fleet_client.skipped <> [] then
+              fail "%s: survivor-owned key paid a failover" name;
+            let c = routed.Fleet_client.client in
+            ignore (ok (Client.load_key c key));
+            assert_equivalent ~what:(name ^ "/survivor") run
+              (remote_check c run);
+            Client.close c
+      end)
+    (List.filteri (fun i _ -> i < 4) cases);
+  Printf.printf "2 ok: one skipped typed unavailable, verdicts identical after re-route\n%!";
 
-  section "5: artifact sharing -- cold shard warms itself from a peer";
-  (* Two fresh shards with SEPARATE stores (sections 1-4 share one
+  section "3: whole fleet down -> typed unavailable, no exceptions";
+  Array.iteri (fun i _ -> stop_shard i) servers;
+  (match Fleet_client.connect_for_key fc key0 with
+  | Ok routed ->
+      Client.close routed.Fleet_client.client;
+      fail "connect_for_key succeeded against a dead fleet"
+  | Error e ->
+      if e.P.code <> P.Unavailable then
+        fail "dead fleet error is %s, not unavailable"
+          (P.error_code_to_string e.P.code));
+  Printf.printf "3 ok: dead fleet surfaces as typed unavailable\n%!";
+
+  section "4: artifact sharing -- cold shard warms itself from a peer";
+  (* Two fresh shards with SEPARATE stores (sections 1-3 share one
      directory, which would hide the fetch): warm shard 0 holds the
      artifact, cold shard 1 must obtain it over the fetch frame, verify
      it, publish it into its own store and serve byte-identical
      verdicts -- with zero MiniC compiles anywhere in the process. *)
   let module Reg = Ipds_obs.Registry in
   let cval name = Reg.counter_value (Reg.counter name) in
-  let base5 = temp_path "-share.sock" in
-  let topo5 = Topology.create ~shards:2 (`Unix base5) in
+  let base4 = temp_path "-share.sock" in
+  let topo4 = Topology.create ~shards:2 (`Unix base4) in
   let dirs = [| temp_path "-share-store0"; temp_path "-share-store1" |] in
   let share_config i =
     {
@@ -278,39 +246,39 @@ let () =
       peers =
         Some
           {
-            Server.peer_topology = topo5;
+            Server.peer_topology = topo4;
             peer_self = i;
             peer_backoff = backoff;
           };
     }
   in
-  let path5 i =
-    match Topology.address topo5 i with
+  let path4 i =
+    match Topology.address topo4 i with
     | `Unix path -> path
     | `Tcp _ -> fail "unix topology produced a tcp address"
   in
-  let s5 = Array.init 2 (fun i -> Server.start ~config:(share_config i) (`Unix (path5 i))) in
+  let s4 = Array.init 2 (fun i -> Server.start ~config:(share_config i) (`Unix (path4 i))) in
   Fun.protect
     ~finally:(fun () ->
-      Array.iter Server.stop s5;
+      Array.iter Server.stop s4;
       Array.iter
         (fun d -> ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d))))
         dirs)
   @@ fun () ->
-  let w5 = List.hd W.all in
-  let system5 = W.system w5 in
-  let key5 = "share-" ^ w5.W.name in
-  let run5 = local_run system5 (W.program w5) ~seed:2006 in
+  let w4 = List.hd W.all in
+  let system4 = W.system w4 in
+  let key4 = "share-" ^ w4.W.name in
+  let run4 = local_run system4 (W.program w4) ~seed:2006 in
   let store_warm = Store.create ~dir:dirs.(0) in
-  Store.publish_system store_warm key5 system5;
+  Store.publish_system store_warm key4 system4;
   let compiles0 = W.compile_count () in
   let fetches0 = cval "serve.artifact_fetches" in
   let peer_loads0 = cval "serve.artifact_peer_loads" in
   (* straight to the COLD shard: its store misses, so it must go to its
      ring peer (never itself) for the bytes *)
-  let c = Client.connect (`Unix (path5 1)) in
-  ignore (ok (Client.load_key c key5));
-  assert_equivalent ~what:"cold-shard warm-up" run5 (remote_check c run5);
+  let c = Client.connect (`Unix (path4 1)) in
+  ignore (ok (Client.load_key c key4));
+  assert_equivalent ~what:"cold-shard warm-up" run4 (remote_check c run4);
   Client.close c;
   if W.compile_count () <> compiles0 then
     fail "cold shard recompiled instead of fetching from its peer";
@@ -323,24 +291,24 @@ let () =
   (* the fetched artifact was published into the cold shard's own
      store: a fresh session is a local hit, no second peer fetch *)
   let fetches1 = cval "serve.artifact_fetches" in
-  let c2 = Client.connect (`Unix (path5 1)) in
-  ignore (ok (Client.load_key c2 key5));
-  assert_equivalent ~what:"warmed-shard rerun" run5 (remote_check c2 run5);
+  let c2 = Client.connect (`Unix (path4 1)) in
+  ignore (ok (Client.load_key c2 key4));
+  assert_equivalent ~what:"warmed-shard rerun" run4 (remote_check c2 run4);
   Client.close c2;
   if cval "serve.artifact_fetches" <> fetches1 then
     fail "warmed shard paid a second peer fetch";
   (* and client-side push seeds a shard directly: push to shard 0 under
      a new key, then a fetch returns the identical bytes *)
-  let image5 = Ipds_artifact.Artifact.to_bytes system5 in
-  let fc5 = Fleet_client.create ~backoff topo5 in
-  (match Fleet_client.push_artifact fc5 ~key:"share-seeded" image5 with
+  let image4 = Ipds_artifact.Artifact.to_bytes system4 in
+  let fc4 = Fleet_client.create ~backoff topo4 in
+  (match Fleet_client.push_artifact fc4 ~key:"share-seeded" image4 with
   | Ok true -> ()
   | Ok false -> fail "seeding push reported duplicate on an empty key"
   | Error e -> fail "seeding push failed: %s" e.P.detail);
-  (match Fleet_client.fetch_artifact fc5 "share-seeded" with
-  | Ok got when Bytes.equal got image5 -> ()
+  (match Fleet_client.fetch_artifact fc4 "share-seeded" with
+  | Ok got when Bytes.equal got image4 -> ()
   | Ok _ -> fail "fetched bytes differ from the pushed image"
   | Error e -> fail "fetch after push failed: %s" e.P.detail);
   Printf.printf
-    "5 ok: cold shard warmed over the wire, zero compiles, verdicts identical\n%!";
+    "4 ok: cold shard warmed over the wire, zero compiles, verdicts identical\n%!";
   print_endline "fleet smoke OK"

@@ -1,6 +1,6 @@
 (* The observability layer: registry semantics (idempotent registration,
    deterministic merge across domains, stability filtering), span timers,
-   manifests, the JSONL event sink, and the compact JSON encoder. *)
+   manifests, the JSONL event sink, and the JSON encoders. *)
 
 module R = Ipds_obs.Registry
 module J = Ipds_obs.Json
@@ -154,11 +154,11 @@ let test_events_stream () =
       let lines = read_lines path in
       check_int "manifest + 2 events" 3 (List.length lines);
       (* every line must be one complete JSON object *)
-      let docs = List.map Ipds_harness.Json.of_string lines in
-      let member k d = Ipds_harness.Json.member k d in
+      let docs = List.map J.of_string lines in
+      let member k d = J.member k d in
       let kind d =
         match member "kind" d with
-        | Some (Ipds_harness.Json.String s) -> s
+        | Some (J.String s) -> s
         | _ -> "?"
       in
       check "kinds in order" true
@@ -166,7 +166,7 @@ let test_events_stream () =
       List.iteri
         (fun i d ->
           check "seq increments" true
-            (member "seq" d = Some (Ipds_harness.Json.Int i));
+            (member "seq" d = Some (J.Int i));
           check "has ts" true (member "ts" d <> None))
         docs;
       (match List.hd docs with
@@ -174,12 +174,12 @@ let test_events_stream () =
           match member "manifest" d with
           | Some m ->
               check "manifest embedded" true
-                (Ipds_harness.Json.member "tool" m
-                = Some (Ipds_harness.Json.String "test-events"))
+                (J.member "tool" m
+                = Some (J.String "test-events"))
           | None -> Alcotest.fail "first line lacks manifest"));
       Ipds_obs.Manifest.reset ())
 
-(* ---------- compact JSON encoder ---------- *)
+(* ---------- JSON encoders ---------- *)
 
 let test_obs_json () =
   let doc =
@@ -196,10 +196,47 @@ let test_obs_json () =
   check "single line" true (not (String.contains s '\n'));
   check "escapes quote" true (contains s "a\\\"b");
   check "non-finite floats are null" true (contains s "\"nan\":null");
-  (* compact form must be readable back by the harness parser *)
-  let back = Ipds_harness.Json.of_string s in
-  check "roundtrips through the harness parser" true
-    (Ipds_harness.Json.member "i" back = Some (Ipds_harness.Json.Int (-3)))
+  (* compact form must be readable back by the parser *)
+  let back = J.of_string s in
+  check "roundtrips through the parser" true
+    (J.member "i" back = Some (J.Int (-3)))
+
+(* Pins the pretty layout byte for byte: the BENCH_*.json reports are
+   written with it and must not drift. *)
+let test_pretty_golden () =
+  let doc =
+    J.Obj
+      [
+        ("name", J.String "a\"b\\c\n\001");
+        ("n", J.Int (-7));
+        ("inf", J.Float Float.infinity);
+        ("half", J.Float 0.5);
+        ("empty_list", J.List []);
+        ("empty_obj", J.Obj []);
+        ( "rows",
+          J.List [ J.Obj [ ("k", J.Int 1); ("v", J.List [ J.Int 2; J.Null ]) ]; J.Bool true ] );
+      ]
+  in
+  check_str "pretty layout"
+    {|{
+  "name": "a\"b\\c\n\u0001",
+  "n": -7,
+  "inf": null,
+  "half": 0.5,
+  "empty_list": [],
+  "empty_obj": {},
+  "rows": [
+    {
+      "k": 1,
+      "v": [
+        2,
+        null
+      ]
+    },
+    true
+  ]
+}|}
+    (J.to_string_pretty doc)
 
 let () =
   Alcotest.run "obs"
@@ -221,5 +258,8 @@ let () =
       ( "events",
         [ Alcotest.test_case "jsonl stream" `Quick test_events_stream ] );
       ( "json",
-        [ Alcotest.test_case "compact encoder" `Quick test_obs_json ] );
+        [
+          Alcotest.test_case "compact encoder" `Quick test_obs_json;
+          Alcotest.test_case "pretty golden" `Quick test_pretty_golden;
+        ] );
     ]
