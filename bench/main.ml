@@ -581,7 +581,22 @@ let serve_throughput ~seed ~out () =
   Ipds_artifact.Store.publish_system store key system;
   let load_frame = P.encode_frame (P.Load_key key) in
   let begin_frame = P.encode_frame P.Begin_trace in
-  let batch_frame = P.encode_frame (P.Branch_events batch) in
+  (* Call events name callees by index into the function table the
+     server sends in [Loaded], so the batch is encoded from the first
+     [Loaded] reply; every later reply must carry the same table. *)
+  let batch_frame = ref Bytes.empty and batch_funcs = ref None in
+  let encode_batch funcs =
+    match !batch_funcs with
+    | Some f when f = funcs -> ()
+    | Some _ -> fail "the server sent two different function tables"
+    | None ->
+        let index = P.func_index funcs in
+        batch_funcs := Some funcs;
+        batch_frame :=
+          P.encode_frame
+            (P.Branch_events
+               (Array.of_list (List.filter_map (P.word_of_event ~index) batch)))
+  in
   (* the expected ack: an empty [Verdicts] frame.  The driver matches
      replies against its tag and payload length instead of decoding
      each one — the load generator must not be the bottleneck — and
@@ -724,7 +739,7 @@ let serve_throughput ~seed ~out () =
                        int_of_float ((now -. c.c_sent) *. 1e6) :: c.c_rtts
                    end;
                    c.c_sent <- now;
-                   queue c batch_frame
+                   queue c !batch_frame
                  end
                  else
                    match
@@ -736,14 +751,15 @@ let serve_throughput ~seed ~out () =
                        fail "server error %s: %s"
                          (P.error_code_to_string e.P.code)
                          e.P.detail
-                   | Ok (P.Loaded _) when c.c_state = Conn_loading ->
+                   | Ok (P.Loaded { funcs; _ }) when c.c_state = Conn_loading ->
+                       encode_batch funcs;
                        c.c_state <- Conn_starting;
                        queue c begin_frame
                    | Ok P.Trace_started when c.c_state = Conn_starting ->
                        c.c_state <- Conn_pumping;
                        c.c_ready <- true;
                        c.c_sent <- Unix.gettimeofday ();
-                       queue c batch_frame
+                       queue c !batch_frame
                    | Ok (P.Verdicts vs) when c.c_state = Conn_pumping ->
                        fail "balanced batch raised %d alarms" (List.length vs)
                    | Ok _ ->
@@ -853,12 +869,17 @@ let serve_throughput ~seed ~out () =
             ] );
       ]
   in
+  Ipds_obs.Manifest.set_int "serve_protocol_version" P.version;
+  Ipds_obs.Manifest.set_string "ocaml_version" Sys.ocaml_version;
+  Ipds_obs.Manifest.set_int "cores" (Domain.recommended_domain_count ());
   let data =
     J.Obj
       [
+        ("manifest", Ipds_obs.Manifest.to_json ());
         ("workload", J.String w.W.name);
         ("batch_events", J.Int batch_events);
         ("branches_per_batch", J.Int branch_reps);
+        ("batch_frame_bytes", J.Int (Bytes.length !batch_frame));
         ("window_seconds", J.Float window);
         ( "levels",
           J.List

@@ -11,6 +11,9 @@ type t = {
   fd : Unix.file_descr;
   reader : Protocol.reader;
   mutable closed : bool;
+  mutable index : string -> int;
+      (* callee name -> index in the last [Loaded] function table *)
+  batch : Protocol.Batch.t;  (* the reusable [Branch_events] frame *)
 }
 
 (* Resolution failures must stay inside [connect]'s documented
@@ -34,20 +37,28 @@ let resolve host =
       | Some a -> a
       | None -> raise (Unix.Unix_error (Unix.EHOSTUNREACH, "resolve", host)))
 
+(* A failed connect must not leak the socket: fleet clients probing a
+   down shard and start-up polling loops connect many times over. *)
 let connect ?(max_frame = Protocol.default_max_frame) (addr : address) =
   Protocol.ignore_sigpipe ();
-  let fd =
+  let domain, sockaddr =
     match addr with
-    | `Unix path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        fd
-    | `Tcp (host, port) ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_INET (resolve host, port));
-        fd
+    | `Unix path -> (Unix.PF_UNIX, fun () -> Unix.ADDR_UNIX path)
+    | `Tcp (host, port) -> (Unix.PF_INET, fun () -> Unix.ADDR_INET (resolve host, port))
   in
-  { fd; reader = Protocol.reader ~max_frame fd; closed = false }
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  (match Unix.connect fd (sockaddr ()) with
+  | () -> ()
+  | exception e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e);
+  {
+    fd;
+    reader = Protocol.reader ~max_frame fd;
+    closed = false;
+    index = Protocol.func_index [||];
+    batch = Protocol.Batch.create ();
+  }
 
 let close t =
   if not t.closed then begin
@@ -55,8 +66,8 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
-let rpc t frame expect =
-  match Protocol.output_frame t.fd frame with
+let rpc_with t write expect =
+  match write () with
   | () -> (
       match Protocol.input_frame t.reader with
       | Protocol.In_frame (Protocol.Error e) -> Error e
@@ -80,25 +91,31 @@ let rpc t frame expect =
       Error
         { Protocol.code = Protocol.Server_error; detail = Unix.error_message e }
 
-let load_key t key =
-  rpc t (Protocol.Load_key key) (function
-    | Protocol.Loaded { cached; _ } -> Some cached
-    | _ -> None)
+let rpc t frame expect = rpc_with t (fun () -> Protocol.output_frame t.fd frame) expect
+
+(* Keep the loaded artifact's function table: call events are sent as
+   indices into it. *)
+let loaded t = function
+  | Protocol.Loaded { cached; funcs; _ } ->
+      t.index <- Protocol.func_index funcs;
+      Some cached
+  | _ -> None
+
+let load_key t key = rpc t (Protocol.Load_key key) (loaded t)
 
 let load_image t ~name image =
-  rpc t
-    (Protocol.Load_image { name; image = Bytes.to_string image })
-    (function Protocol.Loaded { cached; _ } -> Some cached | _ -> None)
+  rpc t (Protocol.Load_image { name; image = Bytes.to_string image }) (loaded t)
 
 let begin_trace t =
   rpc t Protocol.Begin_trace (function
     | Protocol.Trace_started -> Some ()
     | _ -> None)
 
+let verdicts = function Protocol.Verdicts vs -> Some vs | _ -> None
+
 let send_events t evs =
-  rpc t (Protocol.Branch_events evs) (function
-    | Protocol.Verdicts vs -> Some vs
-    | _ -> None)
+  let words = List.filter_map (Protocol.word_of_event ~index:t.index) evs in
+  rpc t (Protocol.Branch_events (Array.of_list words)) verdicts
 
 let end_trace t =
   rpc t Protocol.End_trace (function
@@ -126,8 +143,9 @@ type trace = {
     (Ipds_core.Checker.alarm list * Protocol.summary, Protocol.err) result;
 }
 
-(* Only checker-relevant events go on the wire; the server replays the
-   batch and replies with the alarms it raised, one Verdicts frame per
+(* Only checker-relevant events go on the wire, each appended as one
+   word straight into the connection's reusable batch frame; the server
+   replies with the alarms the batch raised, one Verdicts frame per
    batch.  A transport or protocol error mid-trace latches: the sink
    goes quiet and [finish] reports the first error. *)
 let default_batch = 1024
@@ -138,36 +156,33 @@ let trace ?(batch = default_batch) t =
   match begin_trace t with
   | Error e -> Error e
   | Ok () ->
-      let buf = ref [] in
-      let n = ref 0 in
-      let verdicts = ref [] in
+      let b = t.batch in
+      Protocol.Batch.clear b;
+      let verdicts_rev = ref [] in
       let failed = ref None in
       let flush () =
-        if !n > 0 && Option.is_none !failed then begin
-          (match send_events t (List.rev !buf) with
-          | Ok vs -> verdicts := List.rev_append vs !verdicts
-          | Error e -> failed := Some e);
-          buf := [];
-          n := 0
-        end
+        if Protocol.Batch.length b > 0 then
+          match rpc_with t (fun () -> Protocol.output_batch t.fd b) verdicts with
+          | Ok vs -> verdicts_rev := List.rev_append vs !verdicts_rev
+          | Error e ->
+              Protocol.Batch.clear b;
+              failed := Some e
       in
       let sink (e : Event.t) =
-        match e.Event.kind with
-        | Event.Call _ | Event.Ret | Event.Branch _ ->
-            if Option.is_none !failed then begin
-              buf := e :: !buf;
-              incr n;
-              if !n >= batch then flush ()
-            end
-        | _ -> ()
+        if Option.is_none !failed then
+          match Protocol.word_of_event ~index:t.index e with
+          | Some w ->
+              Protocol.Batch.add b w;
+              if Protocol.Batch.length b >= batch then flush ()
+          | None -> ()
       in
       let finish () =
-        flush ();
+        if Option.is_none !failed then flush ();
         match !failed with
         | Some e -> Error e
         | None -> (
             match end_trace t with
-            | Ok s -> Ok (List.rev !verdicts, s)
+            | Ok s -> Ok (List.rev !verdicts_rev, s)
             | Error e -> Error e)
       in
       Ok { sink; finish }

@@ -9,7 +9,8 @@ type t
 
 val connect : ?max_frame:int -> address -> t
 (** Raises [Unix_error] if the server cannot be reached — including
-    [EHOSTUNREACH] for a hostname that does not resolve.  SIGPIPE is
+    [EHOSTUNREACH] for a hostname that does not resolve — after closing
+    the socket it opened, so failed connects leak no descriptor.  SIGPIPE is
     set to ignored so a server vanishing mid-request surfaces as an
     RPC error, not a fatal signal. *)
 
@@ -18,10 +19,11 @@ val close : t -> unit
 
 val load_key : t -> string -> (bool, Protocol.err) result
 (** Load an artifact from the server's store; [Ok cached] tells whether
-    it was already resident in the server's LRU. *)
+    it was already resident in the server's LRU.  The function table of
+    the reply is kept: later call events are sent as indices into it. *)
 
 val load_image : t -> name:string -> Bytes.t -> (bool, Protocol.err) result
-(** Ship inline [.ipds] bytes. *)
+(** Ship inline [.ipds] bytes; keeps the function table as {!load_key}. *)
 
 val begin_trace : t -> (unit, Protocol.err) result
 
@@ -29,7 +31,9 @@ val send_events :
   t ->
   Ipds_machine.Event.t list ->
   (Ipds_core.Checker.alarm list, Protocol.err) result
-(** One batch; returns the alarms this batch raised, in commit order. *)
+(** One batch, encoded against the last loaded function table (events
+    the checker never reads are dropped); returns the alarms this batch
+    raised, in commit order. *)
 
 val end_trace : t -> (Protocol.summary, Protocol.err) result
 
@@ -50,8 +54,9 @@ val push_artifact : t -> key:string -> Bytes.t -> (bool, Protocol.err) result
 
 type trace = {
   sink : Ipds_machine.Event.t -> unit;
-      (** feed interpreter events; batches are flushed on the wire every
-          [batch] checker-relevant events *)
+      (** feed interpreter events; each checker-relevant one is appended
+          as an event word to the connection's reusable frame buffer,
+          flushed on the wire every [batch] events *)
   finish :
     unit ->
     (Ipds_core.Checker.alarm list * Protocol.summary, Protocol.err) result;

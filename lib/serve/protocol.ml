@@ -1,8 +1,9 @@
-(* The verdict-server wire format: length-prefixed binary frames with a
-   versioned magic and a CRC-32 trailer, payloads bit-packed with
-   {!Ipds_core.Bitstream}.
+(* The verdict-server wire format, version 2: length-prefixed binary
+   frames with a versioned magic and a CRC-32 trailer, payloads in one
+   byte-aligned codec (LEB128 varints, zigzag where a value can be
+   negative, strings as a varint length and a blit).
 
-   Frame layout (integers little-endian):
+   Frame layout (header integers little-endian):
 
      0   4   magic "IPSV"
      4   1   protocol version
@@ -13,15 +14,14 @@
 
    Decoding never raises: every way a frame can be damaged maps to a
    typed {!error_code}.  The magic and version are checked before the
-   CRC so a stream from the wrong protocol gets a precise error; the
-   CRC covers the header too, so a flipped bit anywhere in a frame —
-   including its length field — is detected. *)
+   CRC so a stream from the wrong protocol (a v1 peer included) gets a
+   precise error; the CRC covers the header too, so a flipped bit
+   anywhere in a frame — including its length field — is detected. *)
 
-module Bs = Ipds_core.Bitstream
 module Event = Ipds_machine.Event
 
 let magic = "IPSV"
-let version = 1
+let version = 2
 let header_bytes = 10
 let trailer_bytes = 4
 let default_max_frame = 4 * 1024 * 1024
@@ -99,11 +99,11 @@ type frame =
   | Load_key of string
   | Load_image of { name : string; image : string }
   | Begin_trace
-  | Branch_events of Event.t list
+  | Branch_events of int array
   | End_trace
   | Fetch_artifact of string
   | Push_artifact of { key : string; image : string }
-  | Loaded of { name : string; cached : bool }
+  | Loaded of { name : string; cached : bool; funcs : string array }
   | Trace_started
   | Verdicts of Ipds_core.Checker.alarm list
   | Trace_summary of summary
@@ -117,139 +117,202 @@ let verdict_to_string (a : Ipds_core.Checker.alarm) =
     (if a.actual_taken then 'T' else 'N')
     a.sequence
 
+(* {2 Event words}
+
+   One checker-relevant event is one int, [(arg lsl 2) lor op]: the
+   branch pc for a branch, the callee's index in the [Loaded] function
+   table for a call (the table's length marks an extern call, which the
+   server skips exactly as [Replay.feed] does), and 0 for a return.  A
+   return word with any other argument is an unknown op, reserved for
+   later event kinds. *)
+
+let op_call = 0
+let op_ret = 1
+let op_taken = 2
+let op_not_taken = 3
+let event_word ~op ~arg = (arg lsl 2) lor op
+
+let func_index funcs =
+  let h = Hashtbl.create (2 * Array.length funcs + 1) in
+  Array.iteri (fun i f -> Hashtbl.replace h f i) funcs;
+  let extern = Array.length funcs in
+  fun name -> try Hashtbl.find h name with Not_found -> extern
+
+let word_of_event ~index (e : Event.t) =
+  match e.Event.kind with
+  | Event.Call { callee } -> Some (event_word ~op:op_call ~arg:(index callee))
+  | Event.Ret -> Some op_ret
+  | Event.Branch { taken; _ } ->
+      Some
+        (event_word ~op:(if taken then op_taken else op_not_taken) ~arg:e.Event.pc)
+  | Event.Alu | Event.Load _ | Event.Store _ | Event.Jump _ | Event.Input_read
+  | Event.Output_write _ | Event.Fault_inject _ ->
+      None
+
 (* {2 Payload codec} *)
 
-exception Malformed_payload of string
+(* A growable byte buffer.  [put_varint] writes the int's 63-bit pattern
+   as unsigned LEB128, so every int round-trips (a negative one takes
+   the full 9 bytes); [put_zigzag] keeps small negatives short. *)
+type enc = { mutable buf : Bytes.t; mutable len : int }
 
-let fail m = raise (Malformed_payload m)
+let enc_create n = { buf = Bytes.create n; len = 0 }
 
-(* Full-width int: 31 low bits + 32 high bits reconstructs every 63-bit
-   OCaml int exactly, negatives included (bit 62 is the sign bit). *)
-let push_int w v =
-  Bs.Writer.push w ~width:31 (v land 0x7FFF_FFFF);
-  Bs.Writer.push w ~width:32 ((v lsr 31) land 0xFFFF_FFFF)
+let ensure e n =
+  if e.len + n > Bytes.length e.buf then begin
+    let bigger = Bytes.create (max (e.len + n) (2 * Bytes.length e.buf)) in
+    Bytes.blit e.buf 0 bigger 0 e.len;
+    e.buf <- bigger
+  end
 
-let pull_int r =
-  let lo = Bs.Reader.pull r ~width:31 in
-  let hi = Bs.Reader.pull r ~width:32 in
-  (hi lsl 31) lor lo
+let put_byte e b =
+  ensure e 1;
+  Bytes.unsafe_set e.buf e.len (Char.unsafe_chr b);
+  e.len <- e.len + 1
 
-let push_bool w b = Bs.Writer.push w ~width:1 (if b then 1 else 0)
-let pull_bool r = Bs.Reader.pull r ~width:1 = 1
+let put_varint e v =
+  ensure e 9;
+  let v = ref v in
+  while !v lsr 7 <> 0 do
+    Bytes.unsafe_set e.buf e.len (Char.unsafe_chr (!v land 0x7F lor 0x80));
+    e.len <- e.len + 1;
+    v := !v lsr 7
+  done;
+  Bytes.unsafe_set e.buf e.len (Char.unsafe_chr !v);
+  e.len <- e.len + 1
 
-let push_string w s =
+let put_zigzag e v = put_varint e ((v lsl 1) lxor (v asr 62))
+let put_bool e b = put_byte e (if b then 1 else 0)
+
+let put_string e s =
   let n = String.length s in
-  push_int w n;
-  String.iter (fun c -> Bs.Writer.push w ~width:8 (Char.code c)) s
+  put_varint e n;
+  ensure e n;
+  Bytes.blit_string s 0 e.buf e.len n;
+  e.len <- e.len + n
 
-(* String/list lengths are bounded by the decoder's effective
-   [max_frame], not the compile-time default — a server started with a
-   larger [--max-frame] must accept payloads that fill it.  The bound
-   only rejects absurd lengths before allocation; genuine overruns of
-   the actual payload still surface as [Malformed] via the reader. *)
-let pull_string ~limit r =
-  let n = pull_int r in
-  if n < 0 || n > limit then fail "string length out of range";
-  String.init n (fun _ -> Char.chr (Bs.Reader.pull r ~width:8))
-
-let push_status w (s : Ipds_core.Status.t) =
-  Bs.Writer.push w ~width:2
+let put_status e (s : Ipds_core.Status.t) =
+  put_byte e
     (match s with
     | Ipds_core.Status.Taken -> 0
     | Ipds_core.Status.Not_taken -> 1
     | Ipds_core.Status.Unknown -> 2)
 
-let pull_status r : Ipds_core.Status.t =
-  match Bs.Reader.pull r ~width:2 with
+(* The reading side: a cursor over one payload span.  Running off its
+   end raises [Short]; a structurally bad field raises
+   [Malformed_payload].  Both become a typed [Malformed] error. *)
+exception Short
+exception Malformed_payload of string
+
+let fail m = raise (Malformed_payload m)
+
+type dec = { src : Bytes.t; mutable pos : int; lim : int }
+
+let get_byte d =
+  if d.pos >= d.lim then raise Short;
+  let b = Char.code (Bytes.unsafe_get d.src d.pos) in
+  d.pos <- d.pos + 1;
+  b
+
+(* Nine bytes carry all 63 bits; a tenth would be an over-long
+   encoding. *)
+let get_varint d =
+  let rec go acc shift =
+    let b = get_byte d in
+    let acc = acc lor ((b land 0x7F) lsl shift) in
+    if b land 0x80 = 0 then acc
+    else if shift >= 56 then fail "over-long varint"
+    else go acc (shift + 7)
+  in
+  go 0 0
+
+let get_zigzag d =
+  let z = get_varint d in
+  (z lsr 1) lxor -(z land 1)
+
+let get_bool d =
+  match get_byte d with 0 -> false | 1 -> true | _ -> fail "bad bool"
+
+(* Every element of a list or string takes at least one byte, so a
+   count above the bytes left is a lie — rejected before anything is
+   allocated for it. *)
+let get_count ~what d =
+  let n = get_varint d in
+  if n < 0 || n > d.lim - d.pos then fail (what ^ " out of range");
+  n
+
+let get_string d =
+  let n = get_count ~what:"string length" d in
+  let s = Bytes.sub_string d.src d.pos n in
+  d.pos <- d.pos + n;
+  s
+
+let get_status d : Ipds_core.Status.t =
+  match get_byte d with
   | 0 -> Ipds_core.Status.Taken
   | 1 -> Ipds_core.Status.Not_taken
   | 2 -> Ipds_core.Status.Unknown
   | _ -> fail "bad status"
 
-let push_event w (e : Event.t) =
-  push_string w e.Event.fname;
-  push_int w e.Event.iid;
-  push_int w e.Event.pc;
-  let tag n = Bs.Writer.push w ~width:4 n in
-  match e.Event.kind with
-  | Event.Alu -> tag 0
-  | Event.Load { addr } ->
-      tag 1;
-      push_int w addr
-  | Event.Store { addr } ->
-      tag 2;
-      push_int w addr
-  | Event.Branch { taken; target_pc } ->
-      tag 3;
-      push_bool w taken;
-      push_int w target_pc
-  | Event.Jump { target_pc } ->
-      tag 4;
-      push_int w target_pc
-  | Event.Call { callee } ->
-      tag 5;
-      push_string w callee
-  | Event.Ret -> tag 6
-  | Event.Input_read -> tag 7
-  | Event.Output_write v ->
-      tag 8;
-      push_int w v
-  | Event.Fault_inject { skipped } ->
-      tag 9;
-      push_bool w skipped
+let put_verdict e (a : Ipds_core.Checker.alarm) =
+  put_string e a.fname;
+  put_zigzag e a.branch_pc;
+  put_status e a.expected;
+  put_bool e a.actual_taken;
+  put_varint e a.sequence
 
-let pull_event ~limit r : Event.t =
-  let fname = pull_string ~limit r in
-  let iid = pull_int r in
-  let pc = pull_int r in
-  let kind =
-    match Bs.Reader.pull r ~width:4 with
-    | 0 -> Event.Alu
-    | 1 -> Event.Load { addr = pull_int r }
-    | 2 -> Event.Store { addr = pull_int r }
-    | 3 ->
-        let taken = pull_bool r in
-        let target_pc = pull_int r in
-        Event.Branch { taken; target_pc }
-    | 4 -> Event.Jump { target_pc = pull_int r }
-    | 5 -> Event.Call { callee = pull_string ~limit r }
-    | 6 -> Event.Ret
-    | 7 -> Event.Input_read
-    | 8 -> Event.Output_write (pull_int r)
-    | 9 -> Event.Fault_inject { skipped = pull_bool r }
-    | n -> fail (Printf.sprintf "bad event kind %d" n)
-  in
-  { Event.fname; iid; pc; kind }
-
-let push_list w push xs =
-  push_int w (List.length xs);
-  List.iter (push w) xs
-
-let pull_list ~limit r pull =
-  let n = pull_int r in
-  if n < 0 || n > limit then fail "list length out of range";
-  List.init n (fun _ -> pull r)
-
-let push_verdict w (a : Ipds_core.Checker.alarm) =
-  push_string w a.fname;
-  push_int w a.branch_pc;
-  push_status w a.expected;
-  push_bool w a.actual_taken;
-  push_int w a.sequence
-
-let pull_verdict ~limit r : Ipds_core.Checker.alarm =
-  let fname = pull_string ~limit r in
-  let branch_pc = pull_int r in
-  let expected = pull_status r in
-  let actual_taken = pull_bool r in
-  let sequence = pull_int r in
+let get_verdict d : Ipds_core.Checker.alarm =
+  let fname = get_string d in
+  let branch_pc = get_zigzag d in
+  let expected = get_status d in
+  let actual_taken = get_bool d in
+  let sequence = get_varint d in
   { fname; branch_pc; expected; actual_taken; sequence }
+
+let get_list d get =
+  let n = get_count ~what:"list length" d in
+  List.init n (fun _ -> get d)
+
+(* {2 The event walker}
+
+   The one decoder of a [Branch_events] payload — a varint count, then
+   that many event words.  It validates every word (known op, callee
+   index at most [nfuncs]) and copies the words into a staging array
+   before the caller acts on any of them, so a payload that turns out
+   malformed mid-batch changes nothing. *)
+
+let branch_events_tag = 4
+
+let walk_events ~nfuncs buf ~pos ~len into : (int array * int, string) result =
+  let d = { src = buf; pos; lim = pos + len } in
+  match
+    let n = get_count ~what:"event count" d in
+    let words =
+      if Array.length into >= n then into
+      else Array.make (max n (2 * Array.length into)) 0
+    in
+    for i = 0 to n - 1 do
+      let w = get_varint d in
+      let op = w land 3 and arg = w asr 2 in
+      if op = op_call then begin
+        if arg < 0 || arg > nfuncs then fail "callee index out of range"
+      end
+      else if op = op_ret && arg <> 0 then
+        fail (Printf.sprintf "unknown event word %d" w);
+      Array.unsafe_set words i w
+    done;
+    if d.pos <> d.lim then fail "trailing bytes after the events";
+    (words, n)
+  with
+  | r -> Ok r
+  | exception Malformed_payload m -> Error m
+  | exception Short -> Error "payload ends prematurely"
 
 let tag_of_frame = function
   | Load_key _ -> 1
   | Load_image _ -> 2
   | Begin_trace -> 3
-  | Branch_events _ -> 4
+  | Branch_events _ -> branch_events_tag
   | End_trace -> 5
   | Fetch_artifact _ -> 6
   | Push_artifact _ -> 7
@@ -261,74 +324,82 @@ let tag_of_frame = function
   | Artifact_pushed _ -> 21
   | Error _ -> 31
 
-let encode_payload w = function
-  | Load_key key -> push_string w key
+let encode_payload e = function
+  | Load_key key -> put_string e key
   | Load_image { name; image } ->
-      push_string w name;
-      push_string w image
+      put_string e name;
+      put_string e image
   | Begin_trace -> ()
-  | Branch_events evs -> push_list w push_event evs
+  | Branch_events words ->
+      put_varint e (Array.length words);
+      Array.iter (put_varint e) words
   | End_trace -> ()
-  | Fetch_artifact key -> push_string w key
+  | Fetch_artifact key -> put_string e key
   | Push_artifact { key; image } ->
-      push_string w key;
-      push_string w image
-  | Loaded { name; cached } ->
-      push_string w name;
-      push_bool w cached
+      put_string e key;
+      put_string e image
+  | Loaded { name; cached; funcs } ->
+      put_string e name;
+      put_bool e cached;
+      put_varint e (Array.length funcs);
+      Array.iter (put_string e) funcs
   | Trace_started -> ()
-  | Verdicts vs -> push_list w push_verdict vs
+  | Verdicts vs ->
+      put_varint e (List.length vs);
+      List.iter (put_verdict e) vs
   | Trace_summary { total_events; total_branches; total_alarms } ->
-      push_int w total_events;
-      push_int w total_branches;
-      push_int w total_alarms
+      put_varint e total_events;
+      put_varint e total_branches;
+      put_varint e total_alarms
   | Artifact_data { key; image } ->
-      push_string w key;
-      push_string w image
+      put_string e key;
+      put_string e image
   | Artifact_pushed { key; stored } ->
-      push_string w key;
-      push_bool w stored
+      put_string e key;
+      put_bool e stored
   | Error { code; detail } ->
-      Bs.Writer.push w ~width:8 (error_code_to_int code);
-      push_string w detail
+      put_byte e (error_code_to_int code);
+      put_string e detail
 
-let decode_payload ~limit tag r =
+(* Control frames; [Branch_events] goes through {!walk_events}. *)
+let decode_payload tag d =
   match tag with
-  | 1 -> Some (Load_key (pull_string ~limit r))
+  | 1 -> Some (Load_key (get_string d))
   | 2 ->
-      let name = pull_string ~limit r in
-      let image = pull_string ~limit r in
+      let name = get_string d in
+      let image = get_string d in
       Some (Load_image { name; image })
   | 3 -> Some Begin_trace
-  | 4 -> Some (Branch_events (pull_list ~limit r (pull_event ~limit)))
   | 5 -> Some End_trace
-  | 6 -> Some (Fetch_artifact (pull_string ~limit r))
+  | 6 -> Some (Fetch_artifact (get_string d))
   | 7 ->
-      let key = pull_string ~limit r in
-      let image = pull_string ~limit r in
+      let key = get_string d in
+      let image = get_string d in
       Some (Push_artifact { key; image })
   | 16 ->
-      let name = pull_string ~limit r in
-      let cached = pull_bool r in
-      Some (Loaded { name; cached })
+      let name = get_string d in
+      let cached = get_bool d in
+      let n = get_count ~what:"list length" d in
+      let funcs = Array.init n (fun _ -> get_string d) in
+      Some (Loaded { name; cached; funcs })
   | 17 -> Some Trace_started
-  | 18 -> Some (Verdicts (pull_list ~limit r (pull_verdict ~limit)))
+  | 18 -> Some (Verdicts (get_list d get_verdict))
   | 19 ->
-      let total_events = pull_int r in
-      let total_branches = pull_int r in
-      let total_alarms = pull_int r in
+      let total_events = get_varint d in
+      let total_branches = get_varint d in
+      let total_alarms = get_varint d in
       Some (Trace_summary { total_events; total_branches; total_alarms })
   | 20 ->
-      let key = pull_string ~limit r in
-      let image = pull_string ~limit r in
+      let key = get_string d in
+      let image = get_string d in
       Some (Artifact_data { key; image })
   | 21 ->
-      let key = pull_string ~limit r in
-      let stored = pull_bool r in
+      let key = get_string d in
+      let stored = get_bool d in
       Some (Artifact_pushed { key; stored })
   | 31 -> (
-      match error_code_of_int (Bs.Reader.pull r ~width:8) with
-      | Some code -> Some (Error { code; detail = pull_string ~limit r })
+      match error_code_of_int (get_byte d) with
+      | Some code -> Some (Error { code; detail = get_string d })
       | None -> fail "bad error code")
   | _ -> None
 
@@ -336,31 +407,67 @@ let decode_payload ~limit tag r =
 
 let set_u32_le b pos v =
   for i = 0 to 3 do
-    Bytes.set b (pos + i) (Char.chr ((v lsr (8 * i)) land 0xFF))
+    Bytes.unsafe_set b (pos + i) (Char.unsafe_chr ((v lsr (8 * i)) land 0xFF))
   done
 
 let get_u32_le b pos =
   let byte i = Char.code (Bytes.get b (pos + i)) in
   byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
 
+let crc b ~pos ~len =
+  Int32.to_int (Ipds_artifact.Crc32.bytes b ~pos ~len) land 0xFFFF_FFFF
+
+(* Write the header at [pos] for a payload already in place after it,
+   and the CRC trailer after the payload ([b] has room for it). *)
+let frame_around b ~pos ~tag ~plen =
+  Bytes.blit_string magic 0 b pos 4;
+  Bytes.set b (pos + 4) (Char.chr version);
+  Bytes.set b (pos + 5) (Char.chr tag);
+  set_u32_le b (pos + 6) plen;
+  set_u32_le b (pos + header_bytes + plen) (crc b ~pos ~len:(header_bytes + plen))
+
 let encode_frame f =
-  let w = Bs.Writer.create () in
-  encode_payload w f;
-  Bs.Writer.align_byte w;
-  let payload = Bs.Writer.contents w in
-  let plen = Bytes.length payload in
-  let b = Bytes.create (header_bytes + plen + trailer_bytes) in
-  Bytes.blit_string magic 0 b 0 4;
-  Bytes.set b 4 (Char.chr version);
-  Bytes.set b 5 (Char.chr (tag_of_frame f));
-  set_u32_le b 6 plen;
-  Bytes.blit payload 0 b header_bytes plen;
-  let crc =
-    Int32.to_int (Ipds_artifact.Crc32.bytes b ~pos:0 ~len:(header_bytes + plen))
-    land 0xFFFF_FFFF
-  in
-  set_u32_le b (header_bytes + plen) crc;
-  b
+  let e = enc_create 64 in
+  e.len <- header_bytes;
+  encode_payload e f;
+  ensure e trailer_bytes;
+  frame_around e.buf ~pos:0 ~tag:(tag_of_frame f) ~plen:(e.len - header_bytes);
+  Bytes.sub e.buf 0 (e.len + trailer_bytes)
+
+(* A [Branch_events] frame built in place, one word at a time.  Words
+   start after room for the header and the longest count varint; [seal]
+   writes the count right before the words and the header right before
+   the count, so the frame is contiguous without moving a word. *)
+module Batch = struct
+  let prefix = header_bytes + 9
+
+  type t = { e : enc; mutable n : int }
+
+  let create () =
+    let e = enc_create 4096 in
+    e.len <- prefix;
+    { e; n = 0 }
+
+  let clear b =
+    b.e.len <- prefix;
+    b.n <- 0
+
+  let add b w =
+    put_varint b.e w;
+    b.n <- b.n + 1
+
+  let length b = b.n
+
+  let seal b =
+    let c = enc_create 9 in
+    put_varint c b.n;
+    let count_pos = prefix - c.len in
+    let pos = count_pos - header_bytes in
+    Bytes.blit c.buf 0 b.e.buf count_pos c.len;
+    ensure b.e trailer_bytes;
+    frame_around b.e.buf ~pos ~tag:branch_events_tag ~plen:(b.e.len - count_pos);
+    (b.e.buf, pos, b.e.len + trailer_bytes - pos)
+end
 
 type decoded =
   | Frame of frame * int  (** decoded frame, offset just past it *)
@@ -368,8 +475,8 @@ type decoded =
   | Fail of err
 
 (* Header + CRC validation without touching the payload, so an
-   event-loop server can route a validated span to the streaming batch
-   decoder (below) without materializing the frame. *)
+   event-loop server can route a validated span to {!walk_events}
+   without materializing the frame. *)
 type scanned =
   | Scan_frame of {
       tag : int;
@@ -410,42 +517,44 @@ let scan_at ?(max_frame = default_max_frame) buf ~pos ~len =
         }
     else if len < header_bytes + plen + trailer_bytes then
       Scan_need (header_bytes + plen + trailer_bytes)
+    else if
+      get_u32_le buf (pos + header_bytes + plen)
+      <> crc buf ~pos ~len:(header_bytes + plen)
+    then Scan_fail { code = Bad_crc; detail = "frame CRC mismatch" }
     else
-      let stored = get_u32_le buf (pos + header_bytes + plen) in
-      let crc =
-        Int32.to_int
-          (Ipds_artifact.Crc32.bytes buf ~pos ~len:(header_bytes + plen))
-        land 0xFFFF_FFFF
-      in
-      if stored <> crc then
-        Scan_fail { code = Bad_crc; detail = "frame CRC mismatch" }
-      else
-        Scan_frame
-          {
-            tag;
-            payload_pos = pos + header_bytes;
-            payload_len = plen;
-            next = pos + header_bytes + plen + trailer_bytes;
-          }
+      Scan_frame
+        {
+          tag;
+          payload_pos = pos + header_bytes;
+          payload_len = plen;
+          next = pos + header_bytes + plen + trailer_bytes;
+        }
 
-(* Decode a CRC-validated payload span into a frame value. *)
-let decode_span ?(max_frame = default_max_frame) tag buf ~pos ~len =
-  let payload = Bytes.sub buf pos len in
-  match decode_payload ~limit:max_frame tag (Bs.Reader.of_bytes payload) with
-  | Some f -> Ok f
-  | None ->
-      Error
-        { code = Unknown_frame; detail = Printf.sprintf "unknown frame tag %d" tag }
-  | exception Malformed_payload m -> Error { code = Malformed; detail = m }
-  | exception Invalid_argument _ ->
-      Error { code = Malformed; detail = "payload ends prematurely" }
+(* Decode a CRC-validated payload span into a frame value.  A payload
+   must be consumed exactly: trailing bytes are malformed. *)
+let decode_span tag buf ~pos ~len =
+  let malformed m : (frame, err) result = Error { code = Malformed; detail = m } in
+  if tag = branch_events_tag then
+    match walk_events ~nfuncs:max_int buf ~pos ~len [||] with
+    | Ok (words, n) -> Ok (Branch_events (Array.sub words 0 n))
+    | Error m -> malformed m
+  else
+    let d = { src = buf; pos; lim = pos + len } in
+    match decode_payload tag d with
+    | Some f when d.pos = d.lim -> Ok f
+    | Some _ -> malformed "trailing bytes after the payload"
+    | None ->
+        Error
+          { code = Unknown_frame; detail = Printf.sprintf "unknown frame tag %d" tag }
+    | exception Malformed_payload m -> malformed m
+    | exception Short -> malformed "payload ends prematurely"
 
 let decode_at ?max_frame buf ~pos ~len =
   match scan_at ?max_frame buf ~pos ~len with
   | Scan_need n -> Need_more n
   | Scan_fail e -> Fail e
   | Scan_frame { tag; payload_pos; payload_len; next } -> (
-      match decode_span ?max_frame tag buf ~pos:payload_pos ~len:payload_len with
+      match decode_span tag buf ~pos:payload_pos ~len:payload_len with
       | Ok f -> Frame (f, next)
       | Error e -> Fail e)
 
@@ -462,111 +571,6 @@ let decode_string ?max_frame s =
       | Fail e -> Error e
   in
   go 0 []
-
-(* {2 Streaming batch decode}
-
-   [Branch_events] is the only frame on the serving hot path, and the
-   generic codec pays for it three times over: {!Bs.Reader.pull} loops
-   per *bit* (a div, a mod and a shift for every one of the ~300 bits an
-   event occupies), [pull_list] materializes an [Event.t list], and
-   every event allocates its [fname] string even though the checker
-   never reads it for branch/ret events.  [iter_branch_events] walks the
-   same bit layout with a byte-refilled accumulator (one shift-mask per
-   field), skips [fname]/[iid] wholesale, and hands call/ret/branch
-   straight to callbacks — no list, no event records, no strings except
-   callee names.  The event-loop server feeds the checker through this;
-   the wire format and its acceptance/rejection behaviour are identical
-   to [decode_payload] (same bounds checks, same error details), which
-   test_serve asserts differentially against random frames. *)
-
-let branch_events_tag = 4
-
-module Fast = struct
-  exception Short
-
-  type reader = {
-    buf : Bytes.t;
-    limit : int;  (** exclusive byte bound *)
-    mutable pos : int;  (** next byte to fold into [acc] *)
-    mutable acc : int;
-    mutable bits : int;  (** valid low bits of [acc] *)
-  }
-
-  let make buf ~pos ~len = { buf; limit = pos + len; pos; acc = 0; bits = 0 }
-
-  (* [width] <= 32, so [bits] stays < 40 and [acc] never nears bit 62. *)
-  let pull r width =
-    while r.bits < width do
-      if r.pos >= r.limit then raise Short;
-      r.acc <- r.acc lor (Char.code (Bytes.unsafe_get r.buf r.pos) lsl r.bits);
-      r.bits <- r.bits + 8;
-      r.pos <- r.pos + 1
-    done;
-    let v = r.acc land ((1 lsl width) - 1) in
-    r.acc <- r.acc lsr width;
-    r.bits <- r.bits - width;
-    v
-
-  let pull_int r =
-    let lo = pull r 31 in
-    let hi = pull r 32 in
-    (hi lsl 31) lor lo
-
-  let skip_chars r n =
-    for _ = 1 to n do
-      ignore (pull r 8)
-    done
-
-  let pull_chars r n =
-    let b = Bytes.create n in
-    for i = 0 to n - 1 do
-      Bytes.unsafe_set b i (Char.unsafe_chr (pull r 8))
-    done;
-    Bytes.unsafe_to_string b
-end
-
-(* Walk one [Branch_events] payload span, dispatching checker-relevant
-   events to the callbacks in order; returns the event count (all
-   kinds).  Raises [Fast.Short] on a payload that ends prematurely and
-   [Malformed_payload] exactly where [decode_payload] would. *)
-let iter_branch_events ?(limit = default_max_frame) buf ~pos ~len ~on_call
-    ~on_ret ~on_branch ~on_other =
-  let r = Fast.make buf ~pos ~len in
-  let n = Fast.pull_int r in
-  if n < 0 || n > limit then fail "list length out of range";
-  for _ = 1 to n do
-    let fname_len = Fast.pull_int r in
-    if fname_len < 0 || fname_len > limit then fail "string length out of range";
-    Fast.skip_chars r fname_len;
-    ignore (Fast.pull_int r) (* iid *);
-    let pc = Fast.pull_int r in
-    match Fast.pull r 4 with
-    | 0 -> on_other () (* Alu *)
-    | 1 | 2 ->
-        ignore (Fast.pull_int r) (* Load/Store addr *);
-        on_other ()
-    | 3 ->
-        let taken = Fast.pull r 1 = 1 in
-        ignore (Fast.pull_int r) (* target_pc, unused by the checker *);
-        on_branch ~pc ~taken
-    | 4 ->
-        ignore (Fast.pull_int r) (* Jump target *);
-        on_other ()
-    | 5 ->
-        let clen = Fast.pull_int r in
-        if clen < 0 || clen > limit then fail "string length out of range";
-        on_call (Fast.pull_chars r clen)
-    | 6 -> on_ret ()
-    | 7 -> on_other () (* Input_read *)
-    | 8 ->
-        ignore (Fast.pull_int r) (* Output_write value *);
-        on_other ()
-    | 9 ->
-        ignore (Fast.pull r 1) (* Fault_inject skipped *);
-        on_other ()
-    | k -> fail (Printf.sprintf "bad event kind %d" k)
-  done;
-  n
 
 (* {2 Socket transport} *)
 
@@ -588,6 +592,11 @@ let rec write_all fd b pos len =
 let output_frame fd f =
   let b = encode_frame f in
   write_all fd b 0 (Bytes.length b)
+
+let output_batch fd batch =
+  let b, pos, len = Batch.seal batch in
+  Batch.clear batch;
+  write_all fd b pos len
 
 type reader = {
   fd : Unix.file_descr;

@@ -1,6 +1,8 @@
-(** The verdict-server wire format: length-prefixed binary frames with a
-    versioned magic and a CRC-32 trailer, payloads bit-packed with
-    {!Ipds_core.Bitstream}.
+(** The verdict-server wire format, version 2: length-prefixed binary
+    frames with a versioned magic and a CRC-32 trailer.  Payloads use
+    one byte-aligned codec: integers are LEB128 varints (zigzag-encoded
+    where a value can be negative), strings a varint length followed by
+    the bytes, booleans and small enums one byte.
 
     Frame layout (integers little-endian):
     {v
@@ -14,9 +16,10 @@
 
     Decoding never raises: every way a frame can be damaged maps to a
     typed {!error_code}.  Magic and version are checked before the CRC
-    (wrong-protocol streams get a precise error); the CRC covers the
-    header too, so a flipped bit anywhere in a frame — including its
-    length field — is detected. *)
+    (wrong-protocol streams, v1 peers included, get a precise
+    [Bad_version]); the CRC covers the header too, so a flipped bit
+    anywhere in a frame — including its length field — is detected.
+    A payload must be consumed exactly: trailing bytes are [Malformed]. *)
 
 val magic : string
 val version : int
@@ -59,7 +62,9 @@ type frame =
   | Load_image of { name : string; image : string }
       (** client → server: inline [.ipds] bytes *)
   | Begin_trace
-  | Branch_events of Ipds_machine.Event.t list
+  | Branch_events of int array
+      (** client → server: one {!event_word} per checker-relevant event,
+          in commit order *)
   | End_trace
   | Fetch_artifact of string
       (** client → server: the raw container bytes stored under this
@@ -67,7 +72,10 @@ type frame =
   | Push_artifact of { key : string; image : string }
       (** client → server: store these container bytes under [key];
           the image is untrusted and fully verified before publish *)
-  | Loaded of { name : string; cached : bool }
+  | Loaded of { name : string; cached : bool; funcs : string array }
+      (** [funcs] is the loaded system's function table in
+          [System.funcs] order: call words name callees by index into
+          it *)
   | Trace_started
   | Verdicts of Ipds_core.Checker.alarm list
       (** alarms newly raised by the preceding [Branch_events] batch *)
@@ -83,9 +91,55 @@ val verdict_to_string : Ipds_core.Checker.alarm -> string
 (** Canonical one-line rendering, used by the remote-vs-local
     byte-identity assertions. *)
 
+(** {2 Event words}
+
+    A [Branch_events] payload is a varint count followed by one varint
+    word per event, [(arg lsl 2) lor op]:
+    {v
+    op 0  call               arg = callee index in the Loaded table;
+                             the table's length marks an extern call
+    op 1  return             arg = 0 (any other arg is an unknown op)
+    op 2  branch taken       arg = branch pc
+    op 3  branch not taken   arg = branch pc
+    v}
+    Extern calls travel so that event counts match the interpreter's
+    stream; the server skips them exactly as [Replay.feed] does. *)
+
+val op_call : int
+val op_ret : int
+val op_taken : int
+val op_not_taken : int
+
+val event_word : op:int -> arg:int -> int
+
+val func_index : string array -> string -> int
+(** [func_index funcs] maps a callee name to its index in a [Loaded]
+    function table, or to [Array.length funcs] (extern) when absent. *)
+
+val word_of_event : index:(string -> int) -> Ipds_machine.Event.t -> int option
+(** The event's word, [None] for events the checker never reads. *)
+
 (** {2 Frame codec} *)
 
 val encode_frame : frame -> Bytes.t
+
+(** A [Branch_events] frame built in place: words are appended straight
+    into one reusable buffer, and {!seal} adds count, header and CRC
+    around them without copying a word. *)
+module Batch : sig
+  type t
+
+  val create : unit -> t
+  val add : t -> int -> unit
+  val length : t -> int
+  (** Words added since the last {!clear}. *)
+
+  val seal : t -> Bytes.t * int * int
+  (** The finished frame as (buffer, offset, length), valid until the
+      next {!add} or {!clear}. *)
+
+  val clear : t -> unit
+end
 
 type decoded =
   | Frame of frame * int  (** decoded frame, offset just past it *)
@@ -99,13 +153,14 @@ val decode_string : ?max_frame:int -> string -> (frame list, err) result
 (** Decode a complete byte stream; a stream ending mid-frame is
     [Error {code = Truncated; _}].  Never raises. *)
 
-(** {2 Incremental scanning and streaming batch decode}
+(** {2 Incremental scanning and the event walker}
 
     The event-loop server separates framing from payload decode: it
     {!scan_at}s its read buffer (header + CRC validation only), then
-    either streams a [Branch_events] span straight into the checker via
-    {!iter_branch_events} — no event list, no per-event strings — or
-    falls back to {!decode_span} for the rare control frames. *)
+    hands a [Branch_events] span to {!walk_events} — no event list, no
+    frame value — and every other frame to {!decode_span}.
+    {!decode_span} decodes [Branch_events] through {!walk_events} too,
+    so there is one event decoder. *)
 
 type scanned =
   | Scan_frame of {
@@ -122,36 +177,27 @@ val scan_at : ?max_frame:int -> Bytes.t -> pos:int -> len:int -> scanned
     decoding the payload.  Never raises; fails exactly when
     {!decode_at} would fail before payload decode. *)
 
-val decode_span :
-  ?max_frame:int -> int -> Bytes.t -> pos:int -> len:int -> (frame, err) result
+val decode_span : int -> Bytes.t -> pos:int -> len:int -> (frame, err) result
 (** Decode a CRC-validated payload span (from {!Scan_frame}) into a
-    frame.  Never raises. *)
+    frame.  Never raises.  Length fields are bounded by the bytes left
+    in the span, so the bound follows the frame limit in force. *)
 
 val branch_events_tag : int
 
-exception Malformed_payload of string
-
-val iter_branch_events :
-  ?limit:int ->
+val walk_events :
+  nfuncs:int ->
   Bytes.t ->
   pos:int ->
   len:int ->
-  on_call:(string -> unit) ->
-  on_ret:(unit -> unit) ->
-  on_branch:(pc:int -> taken:bool -> unit) ->
-  on_other:(unit -> unit) ->
-  int
-(** Stream one [Branch_events] payload span to the callbacks in event
-    order, returning the total event count (all kinds).  Accepts and
-    rejects byte-for-byte the same payloads as the generic decoder
-    (differentially tested): raises {!Fast.Short} where the generic
-    reader would overrun and {!Malformed_payload} with the same detail
-    strings for bad lengths / event kinds. *)
-
-module Fast : sig
-  exception Short
-  (** The payload span ended before the field being pulled. *)
-end
+  int array ->
+  (int array * int, string) result
+(** [walk_events ~nfuncs buf ~pos ~len into] validates a whole
+    [Branch_events] payload span and copies its words into [into]
+    (or into a larger array when [into] is too small), returning the
+    array and the event count.  Every word is checked before the caller
+    sees any: a known op, and a callee index in [0, nfuncs] ([nfuncs]
+    being the extern marker).  Errors are the [Malformed] detail; never
+    raises. *)
 
 (** {2 Socket transport} *)
 
@@ -164,6 +210,9 @@ val ignore_sigpipe : unit -> unit
 val output_frame : Unix.file_descr -> frame -> unit
 (** Write a whole frame (handles partial writes).  Raises [Unix_error]
     on IO failure — callers own the error policy for their peer. *)
+
+val output_batch : Unix.file_descr -> Batch.t -> unit
+(** Seal, clear and write a {!Batch} frame, as {!output_frame}. *)
 
 type reader
 

@@ -4,10 +4,10 @@
    set of nonblocking connections: the accept domain distributes new
    sockets round-robin over reactor mailboxes and wakes the owner
    through its self-pipe.  Reads drive {!Protocol.scan_at} over a
-   compacting per-connection buffer; [Branch_events] spans stream
+   compacting per-connection buffer; [Branch_events] spans are walked
    straight into the checker through {!Session.handle_events_span}
-   (no event list, no per-event allocation), rare control frames fall
-   back to the generic decoder.  Writes never block: replies go through
+   (no event list, no frame value), control frames go through
+   {!Protocol.decode_span}.  Writes never block: replies go through
    a bounded per-connection queue flushed opportunistically and on
    writability, with a global in-flight byte cap on top — when either
    bound would be exceeded the client gets one typed [Overloaded] error
@@ -107,8 +107,14 @@ let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* The empty-verdicts reply — the overwhelmingly common case — is one
    shared pre-encoded frame; queued chunks are write-only, so sharing
-   the bytes across connections is safe. *)
-let empty_verdicts = lazy (Protocol.encode_frame (Protocol.Verdicts []))
+   the bytes across connections is safe.  Built eagerly at module
+   initialisation, before any reactor domain exists: a top-level [lazy]
+   forced by two reactors at once can raise
+   [CamlinternalLazy.Undefined]. *)
+let empty_verdicts = Protocol.encode_frame (Protocol.Verdicts [])
+
+(* Header and CRC validation of each complete frame. *)
+let m_scan_micros = Reg.histogram ~stable:false "serve.scan_micros"
 
 (* {2 Connection output} *)
 
@@ -139,7 +145,7 @@ let send t conn f =
   if not (conn.dead || conn.closing) then begin
     let b =
       match f with
-      | Protocol.Verdicts [] -> Lazy.force empty_verdicts
+      | Protocol.Verdicts [] -> empty_verdicts
       | f -> Protocol.encode_frame f
     in
     let len = Bytes.length b in
@@ -205,6 +211,7 @@ let ensure_capacity conn need =
 
 let rec drain_frames t conn =
   if not (conn.dead || conn.closing) then
+    let t0 = Session.now_micros () in
     match
       Protocol.scan_at ~max_frame:t.config.max_frame conn.inbuf
         ~pos:conn.in_start ~len:conn.in_len
@@ -214,6 +221,7 @@ let rec drain_frames t conn =
         Session.send_error ~send:(send t conn) e.Protocol.code e.Protocol.detail;
         conn.closing <- true
     | Protocol.Scan_frame { tag; payload_pos; payload_len; next } ->
+        Reg.observe m_scan_micros (Session.now_micros () - t0);
         Reg.incr Session.m_frames_in;
         let consumed = next - conn.in_start in
         (* Advance past the frame before handling it; the payload span
@@ -224,13 +232,12 @@ let rec drain_frames t conn =
         let send = send t conn in
         let verdict =
           if tag = Protocol.branch_events_tag then
-            Session.handle_events_span conn.session ~send
-              ~max_frame:t.config.max_frame conn.inbuf ~pos:payload_pos
-              ~len:payload_len
+            Session.handle_events_span conn.session ~send conn.inbuf
+              ~pos:payload_pos ~len:payload_len
           else
             match
-              Protocol.decode_span ~max_frame:t.config.max_frame tag conn.inbuf
-                ~pos:payload_pos ~len:payload_len
+              Protocol.decode_span tag conn.inbuf ~pos:payload_pos
+                ~len:payload_len
             with
             | Ok f -> Session.handle conn.session ~send f
             | Error e ->

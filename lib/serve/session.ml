@@ -1,7 +1,7 @@
 (* Per-connection protocol logic of the {!Server} event-loop reactor:
    the frame state machine, the serve.* metrics, the typed error
-   classification, and the zero-materialization fast path for
-   [Branch_events] spans.
+   classification, and the [Branch_events] path, which walks a payload
+   span straight into staging and the checker without a frame value.
 
    Stable counters are sums of per-session deterministic work, so their
    totals are independent of scheduling and job count — the concurrency
@@ -9,7 +9,6 @@
    on timing and session interleaving (LRU eviction order), so they are
    unstable; so is the latency histogram. *)
 
-module Event = Ipds_machine.Event
 module System = Ipds_core.System
 module Checker = Ipds_core.Checker
 module Store = Ipds_artifact.Store
@@ -31,6 +30,7 @@ let m_artifact_verify_rejects = Reg.counter "serve.artifact_verify_rejects"
 let m_artifact_peer_loads = Reg.counter ~stable:false "serve.artifact_peer_loads"
 let m_timeouts = Reg.counter ~stable:false "serve.timeouts"
 let m_batch_micros = Reg.histogram ~stable:false "serve.batch_micros"
+let m_decode_micros = Reg.histogram ~stable:false "serve.decode_micros"
 
 let now_micros () = int_of_float (Unix.gettimeofday () *. 1e6)
 
@@ -41,19 +41,17 @@ type t = {
   cache : System.t Shard_cache.t;
   peer_fetch : (string -> (string, Protocol.err) result) option;
   mutable system : System.t option;
+  mutable images : Ipds_core.Image.t array;
+      (* the loaded system's images in function-table order: call words
+         resolve to these once per load, never by name *)
   mutable checker : Checker.t option;
   mutable tr_events : int;
   mutable tr_branches : int;
   mutable tr_alarms : int;
-  (* Staging for the fast path: a whole [Branch_events] span is decoded
-     into these flat arrays before any of it touches the checker, so a
-     payload that turns out malformed mid-batch mutates nothing — the
-     same all-or-nothing acceptance as the list decoder. *)
-  mutable st_op : int array;  (* 0 call / 1 ret / 2 branch-taken / 3 branch-not *)
-  mutable st_arg : int array;  (* branch pc, or index into [st_callee] *)
-  mutable st_callee : string array;
-  mutable st_n : int;
-  mutable st_ncallees : int;
+  mutable staged : int array;
+      (* a whole [Branch_events] span is walked into this before any of
+         it touches the checker, so a payload that turns out malformed
+         mid-batch mutates nothing *)
 }
 
 let create ?peer_fetch ~store ~cache () =
@@ -63,15 +61,12 @@ let create ?peer_fetch ~store ~cache () =
     cache;
     peer_fetch;
     system = None;
+    images = [||];
     checker = None;
     tr_events = 0;
     tr_branches = 0;
     tr_alarms = 0;
-    st_op = Array.make 1024 0;
-    st_arg = Array.make 1024 0;
-    st_callee = Array.make 64 "";
-    st_n = 0;
-    st_ncallees = 0;
+    staged = Array.make 1024 0;
   }
 
 (* The cache key of an inline image: the server and routing clients
@@ -112,27 +107,13 @@ let close t =
       t.checker <- None
   | None -> ()
 
-let feed_guarded sys ck t (e : Event.t) =
-  (match e.Event.kind with
-  | Event.Ret when Checker.depth ck = 0 ->
-      raise (State_violation "Ret with an empty checker stack")
-  | Event.Branch _ when Checker.depth ck = 0 ->
-      raise (State_violation "Branch with an empty checker stack")
-  | _ -> ());
-  (match e.Event.kind with
-  | Event.Branch _ -> t.tr_branches <- t.tr_branches + 1
-  | _ -> ());
-  Ipds_machine.Replay.feed ck ~defined:(System.mem sys) e
-
-let loaded t ~send ~name sys = function
-  | `Hit ->
-      t.system <- Some sys;
-      send (Protocol.Loaded { name; cached = true });
-      `Continue
-  | `Loaded ->
-      t.system <- Some sys;
-      send (Protocol.Loaded { name; cached = false });
-      `Continue
+let loaded t ~send ~name (sys : System.t) ~cached =
+  t.system <- Some sys;
+  t.images <- Array.of_list (List.map (fun (_, i) -> i.System.image) sys.System.funcs);
+  send
+    (Protocol.Loaded
+       { name; cached; funcs = Array.of_list (List.map fst sys.System.funcs) });
+  `Continue
 
 let handle t ~send (f : Protocol.frame) =
   let send_err = send_error ~send in
@@ -174,8 +155,8 @@ let handle t ~send (f : Protocol.frame) =
                             Ok sys)))
           in
           match Shard_cache.fetch t.cache key load with
-          | `Hit sys -> loaded t ~send ~name:key sys `Hit
-          | `Loaded sys -> loaded t ~send ~name:key sys `Loaded
+          | `Hit sys -> loaded t ~send ~name:key sys ~cached:true
+          | `Loaded sys -> loaded t ~send ~name:key sys ~cached:false
           | `Err (code, detail) ->
               send_err code detail;
               `Close))
@@ -188,8 +169,8 @@ let handle t ~send (f : Protocol.frame) =
             Error (Protocol.Corrupt_artifact, m)
       in
       match Shard_cache.fetch t.cache key load with
-      | `Hit sys -> loaded t ~send ~name sys `Hit
-      | `Loaded sys -> loaded t ~send ~name sys `Loaded
+      | `Hit sys -> loaded t ~send ~name sys ~cached:true
+      | `Loaded sys -> loaded t ~send ~name sys ~cached:false
       | `Err (code, detail) ->
           send_err code detail;
           `Close)
@@ -209,34 +190,11 @@ let handle t ~send (f : Protocol.frame) =
           Reg.incr m_traces;
           send Protocol.Trace_started;
           `Continue)
-  | Protocol.Branch_events evs -> (
-      match (t.system, t.checker) with
-      | Some sys, Some ck -> (
-          let t0 = now_micros () in
-          (* O(1) against the checker's running count — a long trace's
-             batch loop never rescans its alarm history, so framing cost
-             amortizes over arbitrarily large batches *)
-          let alarms_before = Checker.alarm_count ck in
-          let branches_before = t.tr_branches in
-          match List.iter (feed_guarded sys ck t) evs with
-          | () ->
-              let n = List.length evs in
-              t.tr_events <- t.tr_events + n;
-              Reg.add m_events n;
-              Reg.add m_branches (t.tr_branches - branches_before);
-              let fresh = Checker.alarms_since ck alarms_before in
-              let n_fresh = List.length fresh in
-              t.tr_alarms <- t.tr_alarms + n_fresh;
-              Reg.add m_alarms n_fresh;
-              Reg.observe m_batch_micros (now_micros () - t0);
-              send (Protocol.Verdicts fresh);
-              `Continue
-          | exception State_violation m ->
-              send_err Protocol.Bad_state m;
-              `Close)
-      | _ ->
-          send_err Protocol.Bad_state "Branch_events outside an active trace";
-          `Close)
+  | Protocol.Branch_events _ ->
+      (* the server routes every [Branch_events] span to
+         [handle_events_span] before a frame value exists *)
+      send_err Protocol.Server_error "Branch_events frame outside the span path";
+      `Close
   | Protocol.End_trace -> (
       match t.checker with
       | None ->
@@ -316,89 +274,55 @@ let handle t ~send (f : Protocol.frame) =
       send_err Protocol.Bad_state "server-to-client frame from a client";
       `Close
 
-(* {2 Fast path}
+(* {2 The [Branch_events] path}
 
-   Feed a CRC-validated [Branch_events] payload span without building
-   the event list: {!Protocol.iter_branch_events} stages the
-   checker-relevant events into flat arrays (validating the whole
-   payload first), then the staged events replay through the same
-   guards, counters and verdict collection as {!handle}'s
-   [Branch_events] arm — observable behaviour (replies, typed errors,
-   stable metrics, alarms) is identical, which serve_smoke's
-   byte-identity phases pin down. *)
+   Walk a CRC-validated payload span into [staged] with
+   {!Protocol.walk_events} (the one event decoder, which validates the
+   whole batch first), then feed the staged words through the state
+   guards, counters and verdict collection.  Calls resolve to images
+   through the function table sent in [Loaded]; the extern index is
+   skipped, as [Replay.feed] skips undefined callees. *)
 
-let stage_grow t =
-  let cap = Array.length t.st_op in
-  if t.st_n = cap then begin
-    let op = Array.make (2 * cap) 0 and arg = Array.make (2 * cap) 0 in
-    Array.blit t.st_op 0 op 0 cap;
-    Array.blit t.st_arg 0 arg 0 cap;
-    t.st_op <- op;
-    t.st_arg <- arg
-  end
+let feed t ck n =
+  let images = t.images in
+  let nfuncs = Array.length images in
+  for i = 0 to n - 1 do
+    let w = Array.unsafe_get t.staged i in
+    let op = w land 3 and arg = w asr 2 in
+    if op = Protocol.op_call then begin
+      if arg < nfuncs then ignore (Checker.on_call_img ck images.(arg))
+    end
+    else begin
+      if Checker.depth ck = 0 then
+        raise
+          (State_violation
+             (if op = Protocol.op_ret then "Ret with an empty checker stack"
+              else "Branch with an empty checker stack"));
+      if op = Protocol.op_ret then ignore (Checker.on_return ck)
+      else begin
+        t.tr_branches <- t.tr_branches + 1;
+        ignore (Checker.on_branch ck ~pc:arg ~taken:(op = Protocol.op_taken))
+      end
+    end
+  done
 
-let stage_push t op arg =
-  stage_grow t;
-  t.st_op.(t.st_n) <- op;
-  t.st_arg.(t.st_n) <- arg;
-  t.st_n <- t.st_n + 1
-
-let stage_callee t callee =
-  let cap = Array.length t.st_callee in
-  if t.st_ncallees = cap then begin
-    let cs = Array.make (2 * cap) "" in
-    Array.blit t.st_callee 0 cs 0 cap;
-    t.st_callee <- cs
-  end;
-  t.st_callee.(t.st_ncallees) <- callee;
-  stage_push t 0 t.st_ncallees;
-  t.st_ncallees <- t.st_ncallees + 1
-
-let handle_events_span t ~send ~max_frame buf ~pos ~len =
-  match (t.system, t.checker) with
-  | Some sys, Some ck -> (
-      t.st_n <- 0;
-      t.st_ncallees <- 0;
-      let decoded =
-        match
-          Protocol.iter_branch_events ~limit:max_frame buf ~pos ~len
-            ~on_call:(fun callee -> stage_callee t callee)
-            ~on_ret:(fun () -> stage_push t 1 0)
-            ~on_branch:(fun ~pc ~taken -> stage_push t (if taken then 2 else 3) pc)
-            ~on_other:(fun () -> ())
-        with
-        | n -> Ok n
-        | exception Protocol.Malformed_payload m -> Error m
-        | exception Protocol.Fast.Short -> Error "payload ends prematurely"
-      in
-      match decoded with
+let handle_events_span t ~send buf ~pos ~len =
+  match t.checker with
+  | Some ck -> (
+      let t0 = now_micros () in
+      match
+        Protocol.walk_events ~nfuncs:(Array.length t.images) buf ~pos ~len t.staged
+      with
       | Error m ->
           send_error ~send Protocol.Malformed m;
           `Close
-      | Ok n -> (
-          let t0 = now_micros () in
+      | Ok (staged, n) -> (
+          t.staged <- staged;
+          let t1 = now_micros () in
+          Reg.observe m_decode_micros (t1 - t0);
           let alarms_before = Checker.alarm_count ck in
           let branches_before = t.tr_branches in
-          let feed () =
-            for i = 0 to t.st_n - 1 do
-              match t.st_op.(i) with
-              | 0 ->
-                  let callee = t.st_callee.(t.st_arg.(i)) in
-                  if System.mem sys callee then ignore (Checker.on_call ck callee)
-              | 1 ->
-                  if Checker.depth ck = 0 then
-                    raise (State_violation "Ret with an empty checker stack");
-                  ignore (Checker.on_return ck)
-              | _ ->
-                  if Checker.depth ck = 0 then
-                    raise (State_violation "Branch with an empty checker stack");
-                  t.tr_branches <- t.tr_branches + 1;
-                  ignore
-                    (Checker.on_branch ck ~pc:t.st_arg.(i)
-                       ~taken:(t.st_op.(i) = 2))
-            done
-          in
-          match feed () with
+          match feed t ck n with
           | () ->
               t.tr_events <- t.tr_events + n;
               Reg.add m_events n;
@@ -407,12 +331,12 @@ let handle_events_span t ~send ~max_frame buf ~pos ~len =
               let n_fresh = List.length fresh in
               t.tr_alarms <- t.tr_alarms + n_fresh;
               Reg.add m_alarms n_fresh;
-              Reg.observe m_batch_micros (now_micros () - t0);
+              Reg.observe m_batch_micros (now_micros () - t1);
               send (Protocol.Verdicts fresh);
               `Continue
           | exception State_violation m ->
               send_error ~send Protocol.Bad_state m;
               `Close))
-  | _ ->
+  | None ->
       send_error ~send Protocol.Bad_state "Branch_events outside an active trace";
       `Close

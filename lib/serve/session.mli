@@ -1,7 +1,6 @@
 (** Per-connection protocol logic of the event-loop {!Server}: the
     frame state machine, the [serve.*] metrics, typed-error
-    classification, and the zero-materialization fast path for
-    [Branch_events] spans. *)
+    classification, and the [Branch_events] span path. *)
 
 module Reg = Ipds_obs.Registry
 
@@ -36,6 +35,10 @@ val m_artifact_peer_loads : Reg.counter
 val m_timeouts : Reg.counter
 (** Unstable (timing-dependent). *)
 
+val now_micros : unit -> int
+(** Wall clock in microseconds, for the unstable [serve.*_micros]
+    stage histograms. *)
+
 exception State_violation of string
 (** A Ret/Branch event against an empty checker stack; the session
     turns it into a typed [Bad_state] error. *)
@@ -67,20 +70,24 @@ val send_error : send:(Protocol.frame -> unit) -> Protocol.error_code -> string 
 
 val handle :
   t -> send:(Protocol.frame -> unit) -> Protocol.frame -> [ `Close | `Continue ]
-(** The frame state machine (generic, list-decoded path). *)
+(** The frame state machine for every frame but [Branch_events], which
+    takes {!handle_events_span} (a [Branch_events] value here is a
+    typed [Server_error]). *)
 
 val handle_events_span :
   t ->
   send:(Protocol.frame -> unit) ->
-  max_frame:int ->
   Bytes.t ->
   pos:int ->
   len:int ->
   [ `Close | `Continue ]
-(** [handle] for a CRC-validated [Branch_events] payload span, fed
-    through {!Protocol.iter_branch_events} with all-or-nothing staging:
-    a malformed payload mutates nothing.  Observable behaviour is
-    identical to [handle (Branch_events _)]. *)
+(** Check a CRC-validated [Branch_events] payload span: walk it with
+    {!Protocol.walk_events} against the loaded function table
+    (all-or-nothing — a malformed payload is a typed [Malformed] error
+    and mutates nothing), feed the words to the checker (calls through
+    [Checker.on_call_img]) and reply with one [Verdicts] frame.  The
+    unstable [serve.decode_micros] histogram times the walk,
+    [serve.batch_micros] the checker feed. *)
 
 val close : t -> unit
 (** Flush checker counter deltas of an abandoned trace.  Idempotent. *)

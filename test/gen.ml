@@ -176,12 +176,12 @@ let bitstream_ops : bits_op list Q.t =
   Q.list_size (Q.int_range 1 80)
     (Q.frequency [ (8, field); (2, Q.return Bits_align) ])
 
-(* ---------- machine event generator ---------- *)
+(* ---------- wire event-word generator ---------- *)
 
-(* Arbitrary dynamic events for the serve-protocol codec tests: every
-   kind, full-range ints (the wire codec must round-trip negatives and
-   both int extremes exactly), and function names of assorted lengths
-   including empty. *)
+(* Arbitrary [Branch_events] words for the serve-protocol codec tests:
+   every op, callee indices past any real table (the codec alone does
+   not know the table), and full-range branch pcs (the wire codec must
+   round-trip negative words and both int extremes exactly). *)
 let wide_int : int Q.t =
   Q.oneof
     [
@@ -193,31 +193,17 @@ let wide_int : int Q.t =
       Q.return (-1);
     ]
 
-let event : Ipds_machine.Event.t Q.t =
-  let open Ipds_machine.Event in
-  let* fname =
-    Q.oneofl [ "main"; "aux"; "helper"; ""; "a_function_with_a_long_name" ]
-  in
-  let* iid = Q.int_range 0 10_000 in
-  let* pc = wide_int in
-  let* kind =
-    Q.oneof
-      [
-        Q.return Alu;
-        Q.map (fun addr -> Load { addr }) wide_int;
-        Q.map (fun addr -> Store { addr }) wide_int;
-        Q.map2
-          (fun taken target_pc -> Branch { taken; target_pc })
-          Q.bool wide_int;
-        Q.map (fun target_pc -> Jump { target_pc }) wide_int;
-        Q.map (fun callee -> Call { callee }) (Q.oneofl [ "main"; "aux"; "" ]);
-        Q.return Ret;
-        Q.return Input_read;
-        Q.map (fun v -> Output_write v) wide_int;
-        Q.map (fun skipped -> Fault_inject { skipped }) Q.bool;
-      ]
-  in
-  Q.return { fname; iid; pc; kind }
+let event_word : int Q.t =
+  let module P = Ipds_serve.Protocol in
+  Q.oneof
+    [
+      Q.map (fun arg -> P.event_word ~op:P.op_call ~arg) (Q.int_range 0 300);
+      Q.return (P.event_word ~op:P.op_ret ~arg:0);
+      Q.map2
+        (fun taken arg ->
+          P.event_word ~op:(if taken then P.op_taken else P.op_not_taken) ~arg)
+        Q.bool wide_int;
+    ]
 
 (* ---------- raw MIR generator ---------- *)
 

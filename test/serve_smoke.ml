@@ -530,23 +530,26 @@ let overload_round ~what config sock (prefix, branch_ev) w image run =
       let reader = P.reader fd in
       P.output_frame fd
         (P.Load_image { name = w.W.name; image = Bytes.to_string image });
-      (match P.input_frame reader with
-      | P.In_frame (P.Loaded _) -> ()
-      | _ -> fail "%s: expected Loaded" what);
+      let index =
+        match P.input_frame reader with
+        | P.In_frame (P.Loaded { funcs; _ }) -> P.func_index funcs
+        | _ -> fail "%s: expected Loaded" what
+      in
+      let words evs = Array.of_list (List.filter_map (P.word_of_event ~index) evs) in
       P.output_frame fd P.Begin_trace;
       (match P.input_frame reader with
       | P.In_frame P.Trace_started -> ()
       | _ -> fail "%s: expected Trace_started" what);
       (* establish the call depth the flooded branch executes at *)
       if prefix <> [] then begin
-        P.output_frame fd (P.Branch_events prefix);
+        P.output_frame fd (P.Branch_events (words prefix));
         match P.input_frame reader with
         | P.In_frame (P.Verdicts _) -> ()
         | _ -> fail "%s: expected Verdicts for the prefix" what
       end;
       (* flood, nonblocking: stop when the server stops reading (it is
          overloaded and closing) or after a generous frame budget *)
-      let frame = P.encode_frame (P.Branch_events [ branch_ev ]) in
+      let frame = P.encode_frame (P.Branch_events (words [ branch_ev ])) in
       let n = Bytes.length frame in
       Unix.set_nonblock fd;
       let sent = ref 0 and stalled = ref false in

@@ -46,12 +46,13 @@ let frame : P.frame Q.t =
        Q.return (P.Load_image { name; image }));
       Q.return P.Begin_trace;
       Q.map
-        (fun evs -> P.Branch_events evs)
-        (Q.list_size (Q.int_range 0 40) Gen.event);
+        (fun ws -> P.Branch_events (Array.of_list ws))
+        (Q.list_size (Q.int_range 0 40) Gen.event_word);
       Q.return P.End_trace;
       (let* name = Q.oneofl [ "telnetd"; "" ] in
        let* cached = Q.bool in
-       Q.return (P.Loaded { name; cached }));
+       let* funcs = Q.array_size (Q.int_range 0 6) (Q.oneofl [ "main"; "aux"; "" ]) in
+       Q.return (P.Loaded { name; cached; funcs }));
       Q.return P.Trace_started;
       Q.map (fun vs -> P.Verdicts vs) (Q.list_size (Q.int_range 0 20) verdict);
       (let* total_events = Gen.wide_int in
@@ -98,23 +99,14 @@ let sample_stream () =
       P.Load_image { name = "telnetd"; image = "\x00\x01binary\xff" };
       P.Begin_trace;
       P.Branch_events
-        [
-          {
-            Ipds_machine.Event.fname = "main";
-            iid = 3;
-            pc = 0x1010;
-            kind = Ipds_machine.Event.Branch { taken = true; target_pc = 0x1000 };
-          };
-          {
-            Ipds_machine.Event.fname = "main";
-            iid = 9;
-            pc = 0x1020;
-            kind = Ipds_machine.Event.Call { callee = "aux" };
-          };
-          { Ipds_machine.Event.fname = "aux"; iid = 1; pc = 0x2000; kind = Ipds_machine.Event.Ret };
-        ];
+        [|
+          P.event_word ~op:P.op_taken ~arg:0x1010;
+          P.event_word ~op:P.op_call ~arg:1;
+          P.event_word ~op:P.op_ret ~arg:0;
+          P.event_word ~op:P.op_not_taken ~arg:(-7);
+        |];
       P.End_trace;
-      P.Loaded { name = "telnetd"; cached = true };
+      P.Loaded { name = "telnetd"; cached = true; funcs = [| "main"; "aux" |] };
       P.Trace_started;
       P.Verdicts
         [
@@ -173,8 +165,7 @@ let test_every_truncation_is_typed () =
     [
       P.Load_key "k";
       P.Begin_trace;
-      P.Branch_events
-        [ { Ipds_machine.Event.fname = "f"; iid = 0; pc = 1; kind = Ipds_machine.Event.Alu } ];
+      P.Branch_events [| P.event_word ~op:P.op_taken ~arg:1 |];
       P.End_trace;
     ]
   in
@@ -230,11 +221,11 @@ let prop_truncation_never_raises =
 
 (* Rebuild a frame with an arbitrary tag/payload but a VALID CRC, to
    exercise the paths behind the checksum. *)
-let forge ~tag payload =
+let forge ?(version = P.version) ~tag payload =
   let plen = String.length payload in
   let b = Bytes.create (P.header_bytes + plen + P.trailer_bytes) in
   Bytes.blit_string P.magic 0 b 0 4;
-  Bytes.set b 4 (Char.chr P.version);
+  Bytes.set b 4 (Char.chr version);
   Bytes.set b 5 (Char.chr tag);
   for i = 0 to 3 do
     Bytes.set b (6 + i) (Char.chr ((plen lsr (8 * i)) land 0xFF))
@@ -258,10 +249,30 @@ let expect_code name code s =
 let test_crafted_damage () =
   (* unknown tag, valid CRC *)
   expect_code "unknown tag" P.Unknown_frame (forge ~tag:9 "");
-  (* known tag, valid CRC, garbage payload: string length field lies *)
+  (* known tag, valid CRC, garbage payload: the string length varint
+     never ends *)
   expect_code "malformed payload" P.Malformed (forge ~tag:1 "\xff\xff\xff\xff\xff\xff\xff\xff");
+  (* a string length past the bytes left *)
+  expect_code "string length lies" P.Malformed (forge ~tag:1 "\x05ab");
   (* empty payload where one is required *)
   expect_code "short payload" P.Malformed (forge ~tag:4 "");
+  (* a return word with a nonzero argument is an unknown op *)
+  expect_code "unknown op" P.Malformed
+    (forge ~tag:4 ("\x01" ^ String.make 1 (Char.chr (P.event_word ~op:P.op_ret ~arg:5))));
+  (* ten varint bytes: one more than 63 bits need *)
+  expect_code "over-long varint" P.Malformed
+    (forge ~tag:4 ("\x01" ^ String.make 9 '\x80' ^ "\x00"));
+  (* more events announced than payload bytes left *)
+  expect_code "event count past payload" P.Malformed (forge ~tag:4 "\x05\x08");
+  (* a negative callee index (the word's 63-bit pattern, 9 bytes) *)
+  expect_code "negative callee index" P.Malformed
+    (Bytes.to_string
+       (P.encode_frame (P.Branch_events [| P.event_word ~op:P.op_call ~arg:(-1) |])));
+  (* bytes after the last field *)
+  expect_code "trailing bytes" P.Malformed (forge ~tag:4 "\x01\x08\x00");
+  expect_code "trailing bytes (control frame)" P.Malformed (forge ~tag:3 "\x00");
+  (* a bool byte other than 0 or 1 *)
+  expect_code "bad bool" P.Malformed (forge ~tag:21 "\x01k\x02");
   (* oversized length honoured before the CRC is even checked *)
   (let big = P.encode_frame (P.Load_image { name = "n"; image = String.make 4096 'x' }) in
    match P.decode_string ~max_frame:64 (Bytes.to_string big) with
@@ -273,108 +284,13 @@ let test_crafted_damage () =
    Bytes.set s 4 (Char.chr (P.version + 1));
    expect_code "version skew" P.Bad_version (Bytes.to_string s))
 
-(* ---------- streaming fast path = generic decoder ---------- *)
-
-(* The event-loop server streams Branch_events payloads through
-   {!P.iter_branch_events} instead of materializing an event list; the
-   two decoders must accept and reject byte-for-byte the same payloads
-   and agree on every checker-relevant field. *)
-
-type op = Op_call of string | Op_ret | Op_branch of int * bool | Op_other
-
-let project (evs : Ipds_machine.Event.t list) =
-  List.map
-    (fun (e : Ipds_machine.Event.t) ->
-      match e.Ipds_machine.Event.kind with
-      | Ipds_machine.Event.Call { callee } -> Op_call callee
-      | Ipds_machine.Event.Ret -> Op_ret
-      | Ipds_machine.Event.Branch { taken; _ } ->
-          Op_branch (e.Ipds_machine.Event.pc, taken)
-      | _ -> Op_other)
-    evs
-
-let iter_result ?limit buf ~pos ~len =
-  let acc = ref [] in
-  match
-    P.iter_branch_events ?limit buf ~pos ~len
-      ~on_call:(fun c -> acc := Op_call c :: !acc)
-      ~on_ret:(fun () -> acc := Op_ret :: !acc)
-      ~on_branch:(fun ~pc ~taken -> acc := Op_branch (pc, taken) :: !acc)
-      ~on_other:(fun () -> acc := Op_other :: !acc)
-  with
-  | n -> Ok (n, List.rev !acc)
-  | exception P.Fast.Short -> Error "short"
-  | exception P.Malformed_payload m -> Error m
-
-let payload_span evs =
-  let b = P.encode_frame (P.Branch_events evs) in
-  (b, P.header_bytes, Bytes.length b - P.header_bytes - P.trailer_bytes)
-
-let prop_fast_path_matches_decode =
-  QCheck2.Test.make
-    ~name:"streaming batch decode = generic decode (fields and count)"
-    ~count:300
-    (Q.list_size (Q.int_range 0 40) Gen.event)
-    (fun evs ->
-      let buf, pos, len = payload_span evs in
-      match iter_result buf ~pos ~len with
-      | Ok (n, ops) -> n = List.length evs && ops = project evs
-      | Error m -> QCheck2.Test.fail_reportf "fast path rejected: %s" m)
-
-let prop_fast_path_rejects_identically =
-  QCheck2.Test.make
-    ~name:"streaming batch decode rejects exactly what generic decode rejects"
-    ~count:400
-    (let* evs = Q.list_size (Q.int_range 0 20) Gen.event in
-     let* flip = Q.option (Q.int_range 0 1000) in
-     let* cut = Q.option (Q.int_range 0 1000) in
-     Q.return (evs, flip, cut))
-    (fun (evs, flip, cut) ->
-      let buf, pos, len = payload_span evs in
-      (* damage the payload: truncate and/or flip one byte *)
-      let len =
-        match cut with Some c when len > 0 -> min len (c mod (len + 1)) | _ -> len
-      in
-      (match flip with
-      | Some f when len > 0 ->
-          let i = pos + (f mod len) in
-          Bytes.set buf i (Char.chr (Char.code (Bytes.get buf i) lxor 0x81))
-      | _ -> ());
-      let generic =
-        P.decode_span P.branch_events_tag buf ~pos ~len
-      in
-      match (generic, iter_result buf ~pos ~len) with
-      | Ok (P.Branch_events evs'), Ok (n, ops) ->
-          (* both accept: they must agree on what they decoded *)
-          n = List.length evs' && ops = project evs'
-      | Ok _, Ok _ -> false
-      | Error _, Error _ -> true
-      | Ok _, Error m ->
-          QCheck2.Test.fail_reportf "generic accepted, fast rejected: %s" m
-      | Error e, Ok _ ->
-          QCheck2.Test.fail_reportf "generic rejected (%s), fast accepted"
-            e.P.detail)
-
-(* The detail strings for structurally bad payloads must match the
-   generic decoder's exactly — clients see one vocabulary of typed
-   errors no matter which server path decoded them. *)
-let test_fast_path_details () =
-  let reject payload =
-    let b = Bytes.of_string payload in
-    let generic =
-      match P.decode_span P.branch_events_tag b ~pos:0 ~len:(Bytes.length b) with
-      | Ok _ -> Alcotest.fail "generic decoder accepted a bad payload"
-      | Error e -> e.P.detail
-    in
-    match iter_result b ~pos:0 ~len:(Bytes.length b) with
-    | Ok _ -> Alcotest.fail "fast path accepted a bad payload"
-    | Error m -> (generic, m)
-  in
-  (* list length out of range: 8 bytes of 0xff parse as a huge count *)
-  let g, f = reject "\xff\xff\xff\xff\xff\xff\xff\xff" in
-  Alcotest.(check string) "list length detail" g f;
-  check "list length is the shared vocabulary" true
-    (g = "list length out of range")
+(* A v1 peer: a well-formed v1 frame (v1 payloads were bit-packed; a
+   [Begin_trace] has none) must be refused as a version mismatch before
+   anything looks at its payload. *)
+let test_v1_frame_bad_version () =
+  expect_code "v1 Begin_trace" P.Bad_version (forge ~version:1 ~tag:3 "");
+  expect_code "v1 Branch_events" P.Bad_version
+    (forge ~version:1 ~tag:P.branch_events_tag "\x00\x00\x00\x00\x00\x00\x00\x00")
 
 (* A decoder configured with a limit above the default must accept
    frames that fill it: string/list length bounds follow the effective
@@ -407,15 +323,15 @@ let test_raised_max_frame () =
 module Serve = Ipds_serve
 module W = Ipds_workloads.Workloads
 
+let tmp_path name =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "ipds-serve-%s-%d-%d" name (Unix.getpid ()) (Random.bits ()))
+
 let with_store_server f =
-  let tmp name =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ipds-serve-%s-%d-%d" name (Unix.getpid ()) (Random.bits ()))
-  in
-  let dir = tmp "store" in
+  let dir = tmp_path "store" in
   Unix.mkdir dir 0o755;
-  let sock = tmp "sock" in
+  let sock = tmp_path "sock" in
   Fun.protect
     ~finally:(fun () ->
       ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
@@ -509,6 +425,130 @@ let test_fetch_typed_misses () =
             (Serve.Client.fetch_artifact client key)))
     [ "x"; ""; "../../etc/passwd"; ".hidden" ]
 
+(* ---------- the event walker against a live server ---------- *)
+
+(* Damage only the server can judge (a callee index needs the loaded
+   function table) and damage behind a valid CRC must each end the
+   session with one typed [Malformed] error, never an exception. *)
+let test_walker_damage_at_server () =
+  let image =
+    Bytes.to_string
+      (Ipds_artifact.Artifact.to_bytes
+         (Core.System.cached_build (W.program (W.find "telnetd"))))
+  in
+  let sock = tmp_path "walker-sock" in
+  Serve.Server.with_server (`Unix sock) (fun _server ->
+      let session () =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX sock);
+        let r = P.reader fd in
+        P.output_frame fd (P.Load_image { name = "telnetd"; image });
+        let funcs =
+          match P.input_frame r with
+          | P.In_frame (P.Loaded { funcs; _ }) -> funcs
+          | _ -> Alcotest.fail "expected Loaded"
+        in
+        P.output_frame fd P.Begin_trace;
+        (match P.input_frame r with
+        | P.In_frame P.Trace_started -> ()
+        | _ -> Alcotest.fail "expected Trace_started");
+        (fd, r, Array.length funcs)
+      in
+      let reply name bytes =
+        let fd, r, _ = session () in
+        ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+        let got = P.input_frame r in
+        Unix.close fd;
+        match got with
+        | P.In_frame f -> f
+        | _ -> Alcotest.failf "%s: no reply frame" name
+      in
+      let expect_malformed name bytes =
+        match reply name bytes with
+        | P.Error e ->
+            Alcotest.(check string) name "malformed" (P.error_code_to_string e.P.code)
+        | _ -> Alcotest.failf "%s: expected a malformed error" name
+      in
+      let nfuncs =
+        let fd, _, n = session () in
+        Unix.close fd;
+        n
+      in
+      check "telnetd has a function table" true (nfuncs > 0);
+      let events ws = Bytes.to_string (P.encode_frame (P.Branch_events ws)) in
+      (* the extern marker is the table length: accepted and skipped *)
+      (match reply "extern call" (events [| P.event_word ~op:P.op_call ~arg:nfuncs |]) with
+      | P.Verdicts [] -> ()
+      | _ -> Alcotest.fail "extern call: expected empty verdicts");
+      expect_malformed "callee index past the table"
+        (events [| P.event_word ~op:P.op_call ~arg:(nfuncs + 1) |]);
+      expect_malformed "unknown op" (events [| P.event_word ~op:P.op_ret ~arg:3 |]);
+      expect_malformed "over-long varint"
+        (forge ~tag:P.branch_events_tag ("\x01" ^ String.make 9 '\xff' ^ "\x01"));
+      expect_malformed "event count past payload" (forge ~tag:P.branch_events_tag "\x7f\x08"))
+
+(* v2 is meant to be compact: at the default batch size a whole
+   [Branch_events] frame (header and CRC included) must average at most
+   4 bytes per event on benign runs of every built-in workload. *)
+let test_wire_size () =
+  let module M = Ipds_machine in
+  List.iter
+    (fun (w : W.t) ->
+      let system = W.system w in
+      let index = P.func_index (Array.of_list (List.map fst system.Core.System.funcs)) in
+      let batch = P.Batch.create () in
+      let events = ref 0 and bytes = ref 0 in
+      let seal () =
+        if P.Batch.length batch > 0 then begin
+          let _, _, len = P.Batch.seal batch in
+          bytes := !bytes + len;
+          P.Batch.clear batch
+        end
+      in
+      let sink e =
+        match P.word_of_event ~index e with
+        | Some word ->
+            incr events;
+            P.Batch.add batch word;
+            if P.Batch.length batch >= Serve.Client.default_batch then seal ()
+        | None -> ()
+      in
+      ignore
+        (M.Interp.run (W.program w)
+           {
+             M.Interp.default_config with
+             max_steps = 60_000;
+             inputs = M.Input_script.random ~seed:2006 ();
+             record_trace = false;
+             sink = Some sink;
+           });
+      seal ();
+      let per_event = float_of_int !bytes /. float_of_int (max 1 !events) in
+      check (Printf.sprintf "%s: events recorded" w.W.name) true (!events > 0);
+      if per_event > 4.0 then
+        Alcotest.failf "%s: %.2f wire bytes per event (%d events), above 4" w.W.name
+          per_event !events)
+    W.all
+
+(* ---------- client ---------- *)
+
+(* A connect that fails (a down fleet shard, start-up polling) must
+   close the socket it opened. *)
+let test_connect_no_fd_leak () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  if Sys.file_exists "/proc/self/fd" then begin
+    let absent = tmp_path "absent-sock" in
+    let before = open_fds () in
+    for _ = 1 to 200 do
+      match Serve.Client.connect (`Unix absent) with
+      | c ->
+          Serve.Client.close c;
+          Alcotest.fail "connect to an absent socket succeeded"
+      | exception Unix.Unix_error _ -> ()
+    done;
+    Alcotest.(check int) "open descriptors unchanged" before (open_fds ())
+  end
+
 let () =
   Random.self_init ();
   Alcotest.run "serve-protocol"
@@ -518,6 +558,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_roundtrip;
           Alcotest.test_case "crafted damage" `Quick test_crafted_damage;
           Alcotest.test_case "raised max_frame" `Quick test_raised_max_frame;
+          Alcotest.test_case "v1 frame is bad-version" `Quick test_v1_frame_bad_version;
         ] );
       ( "corruption",
         [
@@ -525,13 +566,13 @@ let () =
           Alcotest.test_case "every truncation" `Quick test_every_truncation_is_typed;
           QCheck_alcotest.to_alcotest prop_truncation_never_raises;
         ] );
-      ( "fast-path",
+      ( "event-walker",
         [
-          QCheck_alcotest.to_alcotest prop_fast_path_matches_decode;
-          QCheck_alcotest.to_alcotest prop_fast_path_rejects_identically;
-          Alcotest.test_case "shared error vocabulary" `Quick
-            test_fast_path_details;
+          Alcotest.test_case "damage at the server" `Quick test_walker_damage_at_server;
+          Alcotest.test_case "wire size on the workloads" `Quick test_wire_size;
         ] );
+      ( "client",
+        [ Alcotest.test_case "failed connects leak no fd" `Quick test_connect_no_fd_leak ] );
       ( "artifact-sharing",
         [
           Alcotest.test_case "push/fetch round trip" `Quick
