@@ -1,24 +1,30 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§6), plus bechamel microbenchmarks of the compile-side and
-   runtime-side machinery.
+   evaluation (§6), plus the repo's own compile, checker and serving
+   measurements.
 
-     dune exec bench/main.exe            -- everything (default sizes)
+     dune exec bench/main.exe            -- every target except smoke
      dune exec bench/main.exe -- fig7    -- detection rates (Figure 7)
      dune exec bench/main.exe -- fig8    -- table sizes (Figure 8)
      dune exec bench/main.exe -- fig9    -- normalized performance (Figure 9)
      dune exec bench/main.exe -- table1  -- simulated processor parameters
      dune exec bench/main.exe -- latency -- detection latency (paper §6)
-     dune exec bench/main.exe -- compile-time
-     dune exec bench/main.exe -- ablation
-     dune exec bench/main.exe -- micro   -- bechamel microbenchmarks
-     dune exec bench/main.exe -- serve-latency -- verdict-server round trips
-     dune exec bench/main.exe -- serve-throughput -- event-loop server load
+     dune exec bench/main.exe -- compile-time -- per-workload compile cost
+     dune exec bench/main.exe -- ablation -- analysis-option ablation
+     dune exec bench/main.exe -- opt-levels -- detection vs optimization level
+     dune exec bench/main.exe -- models  -- overflow vs arbitrary-write attacks
+     dune exec bench/main.exe -- ctx     -- context-switch save/restore cost
      dune exec bench/main.exe -- precision -- Fig-7 lift from --precision on
      dune exec bench/main.exe -- attacks -- attack universes (mem, cond-flip,
                                             insn-skip) over the workloads, a
                                             generated population, and the DME
                                             baseline; writes BENCH_attacks.json
+     dune exec bench/main.exe -- checker-throughput -- flat vs reference
+                                            checker; writes BENCH_checker.json
+     dune exec bench/main.exe -- serve-throughput -- event-loop server load;
+                                            writes BENCH_serve.json
      dune exec bench/main.exe -- smoke   -- tiny campaign + invariant checks
+
+   An unknown target name exits 2 before any target runs.
 
    Flags (defaults preserve the historical sizes):
 
@@ -227,25 +233,25 @@ let ablation ~attacks ?pool () =
            ])
        rows)
 
-let baseline ~attacks ?pool () =
+let opt_levels ~attacks ~seed ?pool () =
   section
     (Printf.sprintf
-       "Baseline comparison: 3-gram syscall-trace detector vs IPDS (%d \
-        attacks/server)"
+       "Optimization levels (paper: \"compiler optimizations can remove \
+        some correlations\"; %d attacks/server)"
        attacks);
-  let rows = H.Baseline_experiment.run_all ~attacks ?pool () in
-  print_endline (H.Baseline_experiment.render rows);
+  let rows = H.Opt_experiment.run_all ~attacks ~seed ?pool () in
+  print_endline (H.Opt_experiment.render rows);
   J.List
     (List.map
-       (fun (r : H.Baseline_experiment.row) ->
+       (fun (r : H.Opt_experiment.row) ->
          J.Obj
            [
-             ("workload", J.String r.workload);
-             ("ngram_fp", J.Float r.ngram_fp);
-             ("ngram_detected", J.Int r.ngram_detected);
-             ("ipds_detected", J.Int r.ipds_detected);
-             ("cf_changed", J.Int r.cf_changed);
-             ("attacks", J.Int r.attacks);
+             ("level", J.String r.level);
+             ("avg_detected", J.Float r.avg_detected);
+             ("detected_given_cf", J.Float r.detected_given_cf);
+             ("avg_cf_changed", J.Float r.avg_cf_changed);
+             ("checked_branches", J.Int r.checked_branches);
+             ("total_branches", J.Int r.total_branches);
            ])
        rows)
 
@@ -283,179 +289,6 @@ let ctx () =
            ])
        rows)
 
-(* ---------- bechamel microbenchmarks ---------- *)
-
-let micro () =
-  section "Microbenchmarks (bechamel, ns/run)";
-  let open Bechamel in
-  let telnetd = W.find "telnetd" in
-  let program = W.program telnetd in
-  let system = Ipds_core.System.cached_build program in
-  let estimates = ref [] in
-  let tests =
-    [
-      Test.make ~name:"minic-compile:telnetd"
-        (Staged.stage (fun () -> ignore (Ipds_minic.Minic.compile telnetd.W.source)));
-      Test.make ~name:"analyze:telnetd"
-        (Staged.stage (fun () ->
-             ignore (Ipds_correlation.Analysis.analyze_program program)));
-      Test.make ~name:"system-build:telnetd"
-        (Staged.stage (fun () -> ignore (Ipds_core.System.build program)));
-      Test.make ~name:"run+check:telnetd"
-        (Staged.stage (fun () ->
-             let checker = Ipds_core.System.new_checker system in
-             ignore
-               (Ipds_machine.Interp.run program
-                  {
-                    Ipds_machine.Interp.default_config with
-                    inputs = Ipds_machine.Input_script.random ~seed:1 ();
-                    checker = Some checker;
-                    record_trace = false;
-                  })));
-      (let layout = system.Ipds_core.System.layout in
-       let f = Ipds_mir.Program.find_func_exn program "main" in
-       let pcs = Ipds_mir.Layout.branch_pcs layout f in
-       Test.make ~name:"hash-search:telnetd-main"
-         (Staged.stage (fun () -> ignore (Ipds_core.Hash.find pcs))));
-    ]
-  in
-  List.iter
-    (fun t ->
-      let results =
-        Benchmark.all
-          (Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ())
-          Toolkit.Instance.[ monotonic_clock ]
-          t
-      in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some (est :: _) ->
-              estimates := (name, est) :: !estimates;
-              Printf.printf "%-28s %12.0f ns/run\n" name est
-          | Some [] | None -> Printf.printf "%-28s (no estimate)\n" name)
-        ols)
-    tests;
-  J.Obj (List.rev_map (fun (name, est) -> (name, J.Float est)) !estimates)
-
-(* ---------- serve-latency: verdict-server round trips ---------- *)
-
-let rec chunks n = function
-  | [] -> []
-  | xs ->
-      let rec take k acc = function
-        | rest when k = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | x :: tl -> take (k - 1) (x :: acc) tl
-      in
-      let batch, rest = take n [] xs in
-      batch :: chunks n rest
-
-let percentile sorted p =
-  match sorted with
-  | [||] -> 0
-  | a -> a.(min (Array.length a - 1) (p * Array.length a / 100))
-
-let serve_latency ~seed () =
-  section "Verdict-server latency (in-process server, Unix socket)";
-  let module Serve = Ipds_serve in
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ipds-bench-%d.sock" (Unix.getpid ()))
-  in
-  let w = W.find "telnetd" in
-  let system = W.system w in
-  let program = W.program w in
-  (* Record the event stream once; every trace then replays the same
-     batches, so the measurement is pure protocol + checking cost. *)
-  let events = ref [] in
-  ignore
-    (Ipds_machine.Interp.run program
-       {
-         Ipds_machine.Interp.default_config with
-         inputs = Ipds_machine.Input_script.random ~seed ();
-         record_trace = false;
-         sink =
-           Some
-             (fun (e : Ipds_machine.Event.t) ->
-               match e.Ipds_machine.Event.kind with
-               | Ipds_machine.Event.Call _ | Ipds_machine.Event.Ret
-               | Ipds_machine.Event.Branch _ ->
-                   events := e :: !events
-               | _ -> ());
-       });
-  let batch_size = 256 in
-  let batches = chunks batch_size (List.rev !events) in
-  let n_events = List.length !events in
-  let traces = 20 in
-  let fail msg =
-    Printf.eprintf "serve-latency: %s\n%!" msg;
-    exit 1
-  in
-  let ok = function
-    | Ok v -> v
-    | Error (e : Serve.Protocol.err) -> fail e.Serve.Protocol.detail
-  in
-  let config = { Serve.Server.default_config with jobs = 2 } in
-  let micros =
-    Serve.Server.with_server ~config (`Unix sock) (fun _server ->
-        let client = Serve.Client.connect (`Unix sock) in
-        Fun.protect
-          ~finally:(fun () -> Serve.Client.close client)
-          (fun () ->
-            ignore
-              (ok
-                 (Serve.Client.load_image client ~name:w.W.name
-                    (Ipds_artifact.Artifact.to_bytes system)));
-            let micros = ref [] in
-            for _ = 1 to traces do
-              ok (Serve.Client.begin_trace client);
-              List.iter
-                (fun batch ->
-                  let t0 = Unix.gettimeofday () in
-                  ignore (ok (Serve.Client.send_events client batch));
-                  micros :=
-                    int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)
-                    :: !micros)
-                batches;
-              ignore (ok (Serve.Client.end_trace client))
-            done;
-            !micros))
-  in
-  let sorted = Array.of_list (List.sort compare micros) in
-  let n = Array.length sorted in
-  let sum = Array.fold_left ( + ) 0 sorted in
-  let mean = if n = 0 then 0. else float_of_int sum /. float_of_int n in
-  let p50 = percentile sorted 50
-  and p95 = percentile sorted 95
-  and p99 = percentile sorted 99 in
-  let max_m = if n = 0 then 0 else sorted.(n - 1) in
-  Printf.printf
-    "%s: %d traces x %d events (%d batches of %d)\n\
-     round-trip per batch: mean %.0f us, p50 %d us, p95 %d us, p99 %d us, \
-     max %d us\n"
-    w.W.name traces n_events (List.length batches) batch_size mean p50 p95 p99
-    max_m;
-  J.Obj
-    [
-      ("workload", J.String w.W.name);
-      ("traces", J.Int traces);
-      ("events_per_trace", J.Int n_events);
-      ("batch_size", J.Int batch_size);
-      ("batches_per_trace", J.Int (List.length batches));
-      ("round_trips", J.Int n);
-      ("mean_micros", J.Float mean);
-      ("p50_micros", J.Int p50);
-      ("p95_micros", J.Int p95);
-      ("p99_micros", J.Int p99);
-      ("max_micros", J.Int max_m);
-    ]
-
 (* ---------- serve-throughput: the event-loop server under load ---------- *)
 
 (* The event-loop server is driven by a lockstep load generator at
@@ -473,6 +306,11 @@ let serve_latency ~seed () =
    verdicts_per_sec counts branch verdicts acknowledged inside the
    measurement window; the latency percentiles are per-batch lockstep
    round trips. *)
+
+let percentile sorted p =
+  match sorted with
+  | [||] -> 0
+  | a -> a.(min (Array.length a - 1) (p * Array.length a / 100))
 
 let permille sorted m =
   match sorted with
@@ -1644,67 +1482,40 @@ let timed name f =
       ];
   report := (name, dt, data) :: !report
 
-let run_target opts pool name =
-  let att default = Option.value opts.attacks ~default in
-  let seed = opts.seed in
-  let go = timed name in
-  match name with
-  | "fig7" -> go (fig7 ~attacks:(att 100) ~seed ?pool)
-  | "fig8" -> go fig8
-  | "fig9" -> go (fig9 ?pool)
-  | "table1" -> go table1
-  | "latency" -> go (latency ?pool)
-  | "compile-time" -> go compile_time
-  | "ablation" -> go (ablation ~attacks:(att 40) ?pool)
-  | "opt-levels" ->
-      go (fun () ->
-          section
-            (Printf.sprintf
-               "Optimization levels (paper: \"compiler optimizations can remove \
-                some correlations\"; %d attacks/server)"
-               (att 40));
-          let rows = H.Opt_experiment.run_all ~attacks:(att 40) ~seed ?pool () in
-          print_endline (H.Opt_experiment.render rows);
-          J.List
-            (List.map
-               (fun (r : H.Opt_experiment.row) ->
-                 J.Obj
-                   [
-                     ("level", J.String r.level);
-                     ("avg_detected", J.Float r.avg_detected);
-                     ("detected_given_cf", J.Float r.detected_given_cf);
-                     ("avg_cf_changed", J.Float r.avg_cf_changed);
-                     ("checked_branches", J.Int r.checked_branches);
-                     ("total_branches", J.Int r.total_branches);
-                   ])
-               rows))
-  | "baseline" -> go (baseline ~attacks:(att 100) ?pool)
-  | "ctx" -> go ctx
-  | "models" -> go (models ~attacks:(att 100) ?pool)
-  | "micro" -> go micro
-  | "serve-latency" -> go (serve_latency ~seed)
-  | "serve-throughput" -> go (serve_throughput ~seed ~out:opts.serve_out)
-  | "checker-throughput" ->
-      go (checker_throughput ~reps:opts.reps ~seed ~out:opts.checker_out)
-  | "precision" ->
-      go (precision ~attacks:(att 100) ~seed ?pool ~out:opts.precision_out)
-  | "attacks" ->
-      go
-        (attacks_bench ~attacks:(att 40) ~seed ~universes:opts.universes ?pool
-           ~out:opts.attacks_out)
-  | "smoke" -> go (smoke ~attacks:(att 5) ~seed ~jobs:opts.jobs)
-  | other ->
-      Printf.eprintf "unknown bench target: %s\n" other;
-      exit 2
+let att opts default = Option.value opts.attacks ~default
 
-let default_targets =
+(* Every target by name, in default run order; "smoke" is last and not
+   part of the default run.  Names are checked against this list before
+   any target runs. *)
+let all_targets : (string * (opts -> Pool.t option -> unit -> J.t)) list =
   [
-    "table1"; "fig8"; "fig7"; "fig9"; "latency"; "compile-time"; "ablation";
-    "opt-levels"; "baseline"; "models"; "ctx"; "precision"; "attacks";
-    "checker-throughput"; "serve-throughput";
+    ("table1", fun _ _ -> table1);
+    ("fig8", fun _ _ -> fig8);
+    ("fig7", fun o pool -> fig7 ~attacks:(att o 100) ~seed:o.seed ?pool);
+    ("fig9", fun _ pool -> fig9 ?pool);
+    ("latency", fun _ pool -> latency ?pool);
+    ("compile-time", fun _ _ -> compile_time);
+    ("ablation", fun o pool -> ablation ~attacks:(att o 40) ?pool);
+    ("opt-levels", fun o pool -> opt_levels ~attacks:(att o 40) ~seed:o.seed ?pool);
+    ("models", fun o pool -> models ~attacks:(att o 100) ?pool);
+    ("ctx", fun _ _ -> ctx);
+    ( "precision",
+      fun o pool ->
+        precision ~attacks:(att o 100) ~seed:o.seed ?pool ~out:o.precision_out );
+    ( "attacks",
+      fun o pool ->
+        attacks_bench ~attacks:(att o 40) ~seed:o.seed ~universes:o.universes
+          ?pool ~out:o.attacks_out );
+    ( "checker-throughput",
+      fun o _ -> checker_throughput ~reps:o.reps ~seed:o.seed ~out:o.checker_out );
+    ("serve-throughput", fun o _ -> serve_throughput ~seed:o.seed ~out:o.serve_out);
+    ("smoke", fun o _ -> smoke ~attacks:(att o 5) ~seed:o.seed ~jobs:o.jobs);
   ]
 
-let full_targets = default_targets @ [ "micro" ]
+let run_target opts pool name = timed name ((List.assoc name all_targets) opts pool)
+
+let default_targets =
+  List.filter (fun t -> not (String.equal t "smoke")) (List.map fst all_targets)
 
 let cache_json () =
   match Ipds_artifact.Store.ambient () with
@@ -1907,9 +1718,16 @@ let () =
   let targets =
     match List.rev !targets_rev with
     | [] -> default_targets
-    | [ "full" ] -> full_targets
     | ts -> ts
   in
+  List.iter
+    (fun t ->
+      if not (List.mem_assoc t all_targets) then begin
+        Printf.eprintf "unknown bench target: %s\nvalid targets: %s\n" t
+          (String.concat " " (List.map fst all_targets));
+        exit 2
+      end)
+    targets;
   (* the manifest must be complete before the event sink opens: the
      sink's first line embeds it *)
   let module Manifest = Ipds_obs.Manifest in

@@ -150,19 +150,3 @@ let decode_function bytes = read_function (R.of_bytes bytes)
 let decode_function_full bytes =
   let entry_pc, image = read_function_full (R.of_bytes bytes) in
   (entry_pc, Image.to_tables image, image)
-
-let program_image (sys : System.t) =
-  let w = W.create () in
-  W.push w ~width:16 (List.length sys.System.funcs);
-  List.iter
-    (fun (_, (info : System.func_info)) ->
-      write_function w ~entry_pc:info.System.entry_pc info.System.tables)
-    sys.System.funcs;
-  W.contents w
-
-let load_program bytes =
-  let r = R.of_bytes bytes in
-  let n = R.pull r ~width:16 in
-  List.init n (fun _ ->
-      let entry_pc, tables = read_function r in
-      (tables.Tables.fname, (entry_pc, tables)))

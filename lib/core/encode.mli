@@ -2,10 +2,11 @@
 
     The compiler "attaches BSVs, BCVs and BATs to the program binary" and
     conveys per-function metadata through a function information table
-    (paper §5.4, Figure 6).  This module serializes a {!System.t} into
-    that image and loads it back: per function, a byte-aligned metadata
+    (paper §5.4, Figure 6).  This module serializes one function's
+    tables into that image and loads it back: a byte-aligned metadata
     header (name, entry PC, hash parameters, node count) followed by the
-    bit-packed BCV and BAT.  The packed payload is exactly
+    bit-packed BCV and BAT.  A whole program ships as a [.ipds] artifact
+    holding one such image per function ([Ipds_artifact.Artifact]).  The packed payload is exactly
     {!Tables.sizes} minus the BSV (which is runtime state, initialized to
     all-unknown at activation).
 
@@ -23,12 +24,6 @@ val decode_function_full : Bytes.t -> (int * Tables.t * Image.t)
     the section decodes into (the tables are derived from it).  The
     image is structurally identical to [Image.of_tables] of the decoded
     tables. *)
-
-val program_image : System.t -> Bytes.t
-(** All functions, prefixed with a count. *)
-
-val load_program : Bytes.t -> (string * (int * Tables.t)) list
-(** [(fname, (entry_pc, tables))] for every function in the image. *)
 
 val payload_bits : Tables.t -> int
 (** Packed BCV+BAT bits — must equal

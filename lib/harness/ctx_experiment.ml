@@ -23,7 +23,7 @@ let run ?(config = P.Config.default) ?(seed = 42)
            {
              M.Interp.default_config with
              inputs = M.Input_script.random ~seed:(seed + i) ();
-             observer = Some (P.Cpu.observer cpu);
+             sink = Some (P.Cpu.observer cpu);
              record_trace = false;
            })
     done;

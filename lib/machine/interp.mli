@@ -36,11 +36,10 @@ type config = {
       (** abort execution at the first alarm, like the hardware (default
           false: record alarms and keep running, convenient for
           experiments) *)
-  observer : (Event.t -> unit) option;
   sink : (Event.t -> unit) option;
-      (** like [observer], but with a commit-order guarantee: events are
-          emitted only after the action they describe has taken effect
-          (a call that faults pushing its frame is never emitted), so a
+      (** the run's event tap, in commit order: events are emitted
+          only after the action they describe has taken effect (a call
+          that faults pushing its frame is never emitted), so a
           checker replaying the sink stream — locally via
           {!Replay.feed} or remotely over the verdict server — reaches
           exactly the same verdicts as an inline [checker]. *)
@@ -49,7 +48,7 @@ type config = {
 }
 
 val default_config : config
-(** 500k steps, constant-0 inputs, no checker/observer/tamper, trace
+(** 500k steps, constant-0 inputs, no checker/sink/tamper, trace
     recording on. *)
 
 val run : Ipds_mir.Program.t -> config -> outcome

@@ -1,4 +1,4 @@
-(* Tests for the N-gram syscall-trace baseline detector. *)
+(* Tests for the DME (diversified memory execution) baseline detector. *)
 
 module B = Ipds_baseline
 module M = Ipds_machine
@@ -6,82 +6,6 @@ module W = Ipds_workloads.Workloads
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let test_ngram_basics () =
-  let model = B.Ngram.train ~n:2 [ [ "a"; "b"; "c" ]; [ "b"; "a" ] ] in
-  (* windows: ab, bc, c(tail), ba, plus the short-trace rule *)
-  check "seen window passes" true (B.Ngram.anomalies model [ "a"; "b" ] = 0);
-  check "unseen window flags" true (B.Ngram.flags model [ "c"; "a" ]);
-  check "subtrace of training passes" true
-    (not (B.Ngram.flags model [ "a"; "b"; "c" ]));
-  check_int "n recorded" 2 (B.Ngram.n model);
-  check "db non-empty" true (B.Ngram.size model > 0)
-
-let test_ngram_window_semantics () =
-  let model = B.Ngram.train ~n:3 [ [ "x"; "y"; "z"; "w" ] ] in
-  (* trace [y;z;w] appears as a window of training *)
-  check "interior window known" true (not (B.Ngram.flags model [ "y"; "z"; "w" ]));
-  (* reordering flags *)
-  check "reordered flags" true (B.Ngram.flags model [ "z"; "y"; "x" ]);
-  (* one anomaly counted per bad window *)
-  check "anomaly count" true (B.Ngram.anomalies model [ "z"; "y"; "x"; "q" ] >= 2)
-
-let test_ngram_rejects_bad_n () =
-  check "n=0 rejected" true
-    (try
-       ignore (B.Ngram.train ~n:0 []);
-       false
-     with Invalid_argument _ -> true)
-
-let test_syscall_trace_collects () =
-  let p = W.program (W.find "telnetd") in
-  let trace =
-    B.Syscall_trace.collect p
-      ~config:
-        {
-          M.Interp.default_config with
-          inputs = M.Input_script.random ~seed:5 ();
-        }
-  in
-  check "trace ends with exit" true
-    (match List.rev trace with
-    | "exit" :: _ -> true
-    | _ -> false);
-  check "trace has library calls" true (List.length trace > 3);
-  check "only extern names" true
-    (List.for_all
-       (fun s ->
-         List.mem_assoc s Ipds_mir.Extern.default_table
-         || List.mem s [ "exit"; "halt"; "fault"; "steps" ])
-       trace)
-
-let test_syscall_trace_deterministic () =
-  let p = W.program (W.find "sshd") in
-  let collect () =
-    B.Syscall_trace.collect p
-      ~config:
-        {
-          M.Interp.default_config with
-          inputs = M.Input_script.random ~seed:11 ();
-        }
-  in
-  check "deterministic" true (collect () = collect ())
-
-let test_model_accepts_benign () =
-  (* A model trained on enough runs should accept most held-out runs. *)
-  let p = W.program (W.find "crond") in
-  let trace seed =
-    B.Syscall_trace.collect p
-      ~config:
-        { M.Interp.default_config with inputs = M.Input_script.random ~seed () }
-  in
-  let model = B.Ngram.train ~n:3 (List.init 60 (fun i -> trace (100 + i))) in
-  let fps =
-    List.init 30 (fun i -> trace (5000 + i))
-    |> List.filter (B.Ngram.flags model)
-    |> List.length
-  in
-  check "few false positives with enough training" true (fps <= 3)
 
 (* ---------- DME: layout-diversified replicas ---------- *)
 
@@ -213,34 +137,9 @@ let test_dme_experiment_row () =
   check "coverage within injected" true
     (row.dme_detected >= 0 && row.dme_detected <= row.attacks)
 
-let test_experiment_row () =
-  let row =
-    Ipds_harness.Baseline_experiment.run ~train_runs:20 ~holdout_runs:20
-      ~attacks:20 (W.find "httpd")
-  in
-  check_int "attacks injected" 20 row.Ipds_harness.Baseline_experiment.attacks;
-  check "fp rate in range" true
-    (row.Ipds_harness.Baseline_experiment.ngram_fp >= 0.
-    && row.Ipds_harness.Baseline_experiment.ngram_fp <= 1.);
-  check "ipds detects at least as implied by cf" true
-    (row.Ipds_harness.Baseline_experiment.ipds_detected
-    <= row.Ipds_harness.Baseline_experiment.cf_changed)
-
 let () =
   Alcotest.run "baseline"
     [
-      ( "ngram",
-        [
-          Alcotest.test_case "basics" `Quick test_ngram_basics;
-          Alcotest.test_case "window semantics" `Quick test_ngram_window_semantics;
-          Alcotest.test_case "bad n" `Quick test_ngram_rejects_bad_n;
-        ] );
-      ( "traces",
-        [
-          Alcotest.test_case "collects" `Quick test_syscall_trace_collects;
-          Alcotest.test_case "deterministic" `Quick test_syscall_trace_deterministic;
-          Alcotest.test_case "accepts benign" `Quick test_model_accepts_benign;
-        ] );
       ( "dme",
         [
           Alcotest.test_case "decorrelate shape" `Quick test_dme_decorrelate_shape;
@@ -251,6 +150,4 @@ let () =
             test_dme_physical_replay_matches_logical;
           Alcotest.test_case "experiment row" `Slow test_dme_experiment_row;
         ] );
-      ( "experiment",
-        [ Alcotest.test_case "row sanity" `Slow test_experiment_row ] );
     ]

@@ -274,10 +274,13 @@ let test_checker_from_image () =
   let w = Ipds_workloads.Workloads.find "telnetd" in
   let program = Ipds_workloads.Workloads.program w in
   let sys = Core.System.build program in
-  let image = Core.Encode.program_image sys in
-  let loaded = Core.Encode.load_program image in
   let images =
-    List.map (fun (name, (_, t)) -> (name, Core.Image.of_tables t)) loaded
+    List.map
+      (fun (name, (info : Core.System.func_info)) ->
+        let bytes = Core.Encode.function_image ~entry_pc:info.entry_pc info.tables in
+        let _, _, image = Core.Encode.decode_function_full bytes in
+        (name, image))
+      sys.Core.System.funcs
   in
   let lookup name = List.assoc name images in
   let run checker =
@@ -420,14 +423,13 @@ let prop_encode_roundtrip_random =
   QCheck2.Test.make ~name:"binary image round trips on arbitrary programs"
     ~count:80 Gen.mir_program (fun p ->
       let sys = Core.System.build p in
-      let image = Core.Encode.program_image sys in
-      let loaded = Core.Encode.load_program image in
       List.for_all
-        (fun (name, (info : Core.System.func_info)) ->
-          match List.assoc_opt name loaded with
-          | Some (pc, tables) ->
-              pc = info.entry_pc && tables = strip_debug info.tables
-          | None -> false)
+        (fun (_, (info : Core.System.func_info)) ->
+          let bytes = Core.Encode.function_image ~entry_pc:info.entry_pc info.tables in
+          let pc, tables, image = Core.Encode.decode_function_full bytes in
+          pc = info.entry_pc
+          && tables = strip_debug info.tables
+          && image = Core.Image.of_tables tables)
         sys.Core.System.funcs)
 
 let prop_checker_matches_oracle =
@@ -487,7 +489,7 @@ let prop_checker_matches_oracle =
             Ipds_machine.Interp.default_config with
             max_steps = 3000;
             inputs = Ipds_machine.Input_script.random ~seed ();
-            observer = Some observer;
+            sink = Some observer;
           }
       in
       ignore tamper;
@@ -532,7 +534,7 @@ let prop_checker_matches_oracle =
                 Ipds_machine.Interp.default_config with
                 max_steps = 3000;
                 inputs = Ipds_machine.Input_script.random ~seed ();
-                observer = Some observer2;
+                sink = Some observer2;
                 tamper = Some plan;
               }
           in

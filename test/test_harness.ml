@@ -40,9 +40,7 @@ let test_stats () =
 let test_empty_sample_rendering () =
   check "model render n/a" true (contains (H.Model_experiment.render []) "n/a");
   check "perf render n/a" true (contains (H.Perf_experiment.render []) "n/a");
-  check "census render n/a" true (contains (H.Size_census.render []) "n/a");
-  check "baseline render n/a" true
-    (contains (H.Baseline_experiment.render []) "n/a")
+  check "census render n/a" true (contains (H.Size_census.render []) "n/a")
 
 (* ---------- JSON: parser, atomic writes, concurrent writers ---------- *)
 

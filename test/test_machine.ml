@@ -580,8 +580,7 @@ let sink_replay_agrees ?tamper ?(trap_on_alarm = false) ~seed p =
   let o =
     M.Interp.run p
       {
-        M.Interp.default_config with
-        max_steps = 2000;
+        M.Interp.max_steps = 2000;
         inputs = M.Input_script.random ~seed ();
         checker = Some checker;
         trap_on_alarm;

@@ -105,7 +105,7 @@ let benign_avoids_pruned ~seed p =
         M.Interp.default_config with
         max_steps = 5000;
         inputs = M.Input_script.random ~seed ();
-        observer = Some observer;
+        sink = Some observer;
       }
   in
   not !violated
