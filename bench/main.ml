@@ -1578,7 +1578,7 @@ let write_report opts ~targets ~total_seconds path =
   Printf.printf "\nwrote %s\n" path
 
 (* Hidden argv mode for serve-throughput: run one event-loop verdict
-   server (one reactor domain) in this process, print READY once it is
+   server in this process, print READY once it is
    listening, and stop when stdin hits EOF — the parent's pipe end is
    the child's lifetime. *)
 let serve_child_main () =

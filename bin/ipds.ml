@@ -544,15 +544,6 @@ let port_arg =
         ~doc:"Loopback TCP port of the verdict server (0 picks a free one).")
 
 let serve_cmd =
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ]
-          ~doc:
-            "Worker domains serving sessions; 1 handles sessions strictly \
-             sequentially.  Verdicts and the stable serve.* metrics are \
-             identical for any value.")
-  in
   let timeout_arg =
     Arg.(
       value & opt float 30.
@@ -572,17 +563,10 @@ let serve_cmd =
   in
   let cache_slots_arg =
     Arg.(
-      value & opt int 8
+      value
+      & opt int Serve.Server.default_config.Serve.Server.cache_slots
       & info [ "cache-slots" ]
           ~doc:"Loaded artifacts kept resident in the server's LRU.")
-  in
-  let cache_shards_arg =
-    Arg.(
-      value & opt int Serve.Server.default_config.Serve.Server.cache_shards
-      & info [ "cache-shards" ]
-          ~doc:
-            "Lock shards of the server's artifact cache; higher values \
-             reduce contention between concurrent cold loads.")
   in
   let peer_socket_arg =
     Arg.(
@@ -619,11 +603,9 @@ let serve_cmd =
             "This server's own shard index in the peer fleet (never asked \
              during a peer fetch).")
   in
-  let run () obs socket port jobs timeout max_frame cache_slots cache_shards
-      peer_socket peer_port peer_shards peer_self =
-    obs_init ~command:"serve"
-      ~manifest:[ ("jobs", Obs.Json.Int jobs) ]
-      obs;
+  let run () obs socket port timeout max_frame cache_slots peer_socket
+      peer_port peer_shards peer_self =
+    obs_init ~command:"serve" obs;
     let addr =
       match (socket, port) with
       | Some path, None -> `Unix path
@@ -680,11 +662,9 @@ let serve_cmd =
     let config =
       {
         Serve.Server.default_config with
-        Serve.Server.jobs = max 1 jobs;
-        max_frame;
+        Serve.Server.max_frame;
         session_timeout = timeout;
         cache_slots;
-        cache_shards = max 1 cache_shards;
         store_dir = None;
         peers;
       }
@@ -724,9 +704,9 @@ let serve_cmd =
           the wire protocol, stream batched trace events and receive the \
           IPDS verdicts back.")
     Term.(
-      const run $ cache_term $ obs_term $ socket_arg $ port_arg $ jobs_arg
-      $ timeout_arg $ max_frame_arg $ cache_slots_arg $ cache_shards_arg
-      $ peer_socket_arg $ peer_port_arg $ peer_shards_arg $ peer_self_arg)
+      const run $ cache_term $ obs_term $ socket_arg $ port_arg $ timeout_arg
+      $ max_frame_arg $ cache_slots_arg $ peer_socket_arg $ peer_port_arg
+      $ peer_shards_arg $ peer_self_arg)
 
 let check_remote_cmd =
   let host_arg =
@@ -881,11 +861,6 @@ let fleet_cmd =
             "Server processes to launch; artifact keys are spread over them \
              by consistent hashing on the client side.")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~doc:"Reactor domains per shard process.")
-  in
   let timeout_arg =
     Arg.(
       value & opt float 30.
@@ -894,7 +869,8 @@ let fleet_cmd =
   in
   let cache_slots_arg =
     Arg.(
-      value & opt int 8
+      value
+      & opt int Serve.Server.default_config.Serve.Server.cache_slots
       & info [ "cache-slots" ] ~doc:"Artifact LRU slots per shard process.")
   in
   let share_artifacts_arg =
@@ -906,7 +882,7 @@ let fleet_cmd =
              missing a key fetches the (verified) artifact from its ring \
              peers over the wire instead of answering unknown-artifact.")
   in
-  let run () obs socket port shards jobs timeout cache_slots share_artifacts =
+  let run () obs socket port shards timeout cache_slots share_artifacts =
     obs_init ~command:"fleet"
       ~manifest:[ ("shards", Obs.Json.Int shards) ]
       obs;
@@ -954,7 +930,6 @@ let fleet_cmd =
         Array.of_list
           ([ "ipds"; "serve" ] @ addr_args i @ cache_args @ peer_args i
           @ [
-              "--jobs"; string_of_int jobs;
               "--timeout"; string_of_float timeout;
               "--cache-slots"; string_of_int cache_slots;
             ])
@@ -1044,7 +1019,7 @@ let fleet_cmd =
           key straight to the owning shard, with no proxy hop.")
     Term.(
       const run $ cache_term $ obs_term $ socket_arg $ port_arg $ shards_arg
-      $ jobs_arg $ timeout_arg $ cache_slots_arg $ share_artifacts_arg)
+      $ timeout_arg $ cache_slots_arg $ share_artifacts_arg)
 
 (* ---------- servers ---------- *)
 

@@ -1,9 +1,8 @@
-(* One stable hash for everything fleet-shaped: cache shard selection and
-   ring point placement both need a hash that is identical across
-   processes and OCaml versions, which rules out [Hashtbl.hash].  MD5 is
-   already a hard dependency of the artifact store, so we reuse it: the
-   first eight digest bytes, folded little-endian and masked positive,
-   give a uniform 62-bit point. *)
+(* One stable hash for ring point placement, which needs a hash that is
+   identical across processes and OCaml versions; that rules out
+   [Hashtbl.hash].  MD5 is already a hard dependency of the artifact
+   store, so we reuse it: the first eight digest bytes, folded
+   little-endian and masked positive, give a uniform 62-bit point. *)
 
 let stable_hash s =
   let d = Digest.string s in
@@ -19,6 +18,3 @@ let stable_hash s =
     lor (b 7 lsl 56)
   in
   v land max_int
-
-(* [stable_hash] reduced to a shard index; [shards] must be positive. *)
-let shard_of ~shards key = stable_hash key mod shards

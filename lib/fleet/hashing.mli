@@ -1,14 +1,10 @@
-(** The one stable hash used by every fleet component.
+(** The one stable hash of the fleet.
 
-    Cache shard selection (in-process) and ring placement (across
-    processes) must agree on a hash that is identical across runs,
-    processes and OCaml versions — [Hashtbl.hash] guarantees none of
-    that.  MD5 is already a hard dependency of the artifact store, so
-    the fleet folds the first eight digest bytes into a uniform
-    non-negative 62-bit integer. *)
+    Ring placement must agree across runs, processes and OCaml
+    versions — [Hashtbl.hash] guarantees none of that.  MD5 is already
+    a hard dependency of the artifact store, so the fleet folds the
+    first eight digest bytes into a uniform non-negative 62-bit
+    integer. *)
 
 val stable_hash : string -> int
 (** Deterministic, uniform, non-negative. *)
-
-val shard_of : shards:int -> string -> int
-(** [stable_hash] reduced mod [shards]; [shards] must be positive. *)

@@ -60,6 +60,8 @@ let connect ?(max_frame = Protocol.default_max_frame) (addr : address) =
     batch = Protocol.Batch.create ();
   }
 
+let set_timeout t seconds = Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO seconds
+
 let close t =
   if not t.closed then begin
     t.closed <- true;

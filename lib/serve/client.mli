@@ -17,6 +17,10 @@ val connect : ?max_frame:int -> address -> t
 val close : t -> unit
 (** Idempotent. *)
 
+val set_timeout : t -> float -> unit
+(** Bound each later wait for a reply to [seconds] ([SO_RCVTIMEO]); a
+    reply that does not arrive in time is a typed [Timeout] error. *)
+
 val load_key : t -> string -> (bool, Protocol.err) result
 (** Load an artifact from the server's store; [Ok cached] tells whether
     it was already resident in the server's LRU.  The function table of

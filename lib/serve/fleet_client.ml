@@ -94,12 +94,19 @@ let with_key t key f =
            ~finally:(fun () -> Client.close routed.client)
            (fun () -> f routed))
 
+(* A server fetches from a peer inside its one loop.  Two shards that
+   each miss a key the other holds would wait on each other for good;
+   the receive timeout turns that into a typed [Timeout] from each, and
+   the walk moves on. *)
+let fetch_timeout = 2.0
+
 (* Artifact sharing: ask the ring owner (then its successors) for the
    raw container bytes of [key].  Unlike [connect_for_key], a reachable
-   shard can still answer [unknown-artifact] (it is cold too) or
-   [corrupt-artifact] (its copy rotted) — both just mean "try the next
-   peer", with the same bounded backoff budget.  [exclude] lets a shard
-   walk its own ring without asking itself. *)
+   shard can still answer [unknown-artifact] (it is cold too),
+   [corrupt-artifact] (its copy rotted) or time out (it is busy) — each
+   just means "try the next peer", with the same bounded backoff
+   budget.  [exclude] lets a shard walk its own ring without asking
+   itself. *)
 let fetch_artifact ?exclude t key =
   let order =
     List.filter
@@ -125,7 +132,9 @@ let fetch_artifact ?exclude t key =
           | Ok client ->
               Fun.protect
                 ~finally:(fun () -> Client.close client)
-                (fun () -> Client.fetch_artifact client key)
+                (fun () ->
+                  Client.set_timeout client fetch_timeout;
+                  Client.fetch_artifact client key)
         in
         match res with
         | Ok image -> Ok image

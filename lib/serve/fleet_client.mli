@@ -39,10 +39,11 @@ val fetch_artifact :
   ?exclude:int -> t -> string -> (Bytes.t, Protocol.err) result
 (** The raw container bytes of [key] from the first ring peer that has
     a verified copy, walking the successor order with bounded backoff;
-    a reachable-but-cold peer ([unknown-artifact]) or a rotted copy
-    ([corrupt-artifact]) just advances the walk.  [exclude] skips one
-    shard index — a shard warming itself must not ask itself.  The
-    caller still owns verification of the returned bytes. *)
+    a reachable-but-cold peer ([unknown-artifact]), a rotted copy
+    ([corrupt-artifact]) or a peer silent for a fixed 2 s ([timeout])
+    just advances the walk.  [exclude] skips one shard index — a shard
+    warming itself must not ask itself.  The caller still owns
+    verification of the returned bytes. *)
 
 val push_artifact : t -> key:string -> Bytes.t -> (bool, Protocol.err) result
 (** {!Client.push_artifact} to the key's ring owner (with connect

@@ -1,9 +1,8 @@
 (* The event-loop verdict server.
 
-   One [Unix.select] reactor per [config.jobs], each owning a disjoint
-   set of nonblocking connections: the accept domain distributes new
-   sockets round-robin over reactor mailboxes and wakes the owner
-   through its self-pipe.  Reads drive {!Protocol.scan_at} over a
+   One [Unix.select] loop in one domain owns every connection: the
+   listening socket, the stop pipe and the nonblocking connections sit
+   in the same select set.  Reads drive {!Protocol.scan_at} over a
    compacting per-connection buffer; [Branch_events] spans are walked
    straight into the checker through {!Session.handle_events_span}
    (no event list, no frame value), control frames go through
@@ -12,15 +11,14 @@
    writability, with a global in-flight byte cap on top — when either
    bound would be exceeded the client gets one typed [Overloaded] error
    frame and the connection drains and closes.  Backpressure, never
-   unbounded buffering.
+   unbounded buffering.  A connection whose descriptor [select] cannot
+   watch is refused the same way.
 
-   Loaded systems live in an {!Ipds_fleet.Shard_cache}: N independently
-   locked LRU shards keyed by artifact key, so concurrent loads only
-   contend when they actually race the same shard; every {!Session}
-   of the server shares it. *)
+   Loaded systems live in one {!Lru} that every {!Session} of the
+   server shares.  More cores means more shard processes
+   ([ipds fleet --shards N]), not more loops in one process. *)
 
 module Store = Ipds_artifact.Store
-module Shard_cache = Ipds_fleet.Shard_cache
 module Reg = Ipds_obs.Registry
 
 (* Overload shedding depends on timing, so the counter is unstable. *)
@@ -36,11 +34,9 @@ type peer_sharing = {
 }
 
 type config = {
-  jobs : int;  (** reactor domains (≥ 1) *)
   max_frame : int;  (** payload-size limit, bytes *)
   session_timeout : float;  (** seconds a session may sit idle; 0 = none *)
-  cache_slots : int;  (** loaded [System.t]s kept across all cache shards *)
-  cache_shards : int;  (** independently locked cache shards (≥ 1) *)
+  cache_slots : int;  (** loaded [System.t]s kept in the LRU *)
   store_dir : string option;
       (** artifact store for [Load_key]; [None] uses the ambient store *)
   reply_queue_bytes : int;  (** per-connection reply-queue bound *)
@@ -50,11 +46,9 @@ type config = {
 
 let default_config =
   {
-    jobs = 1;
     max_frame = Protocol.default_max_frame;
     session_timeout = 30.;
     cache_slots = 8;
-    cache_shards = 4;
     store_dir = None;
     reply_queue_bytes = 8 * 1024 * 1024;
     inflight_bytes = 64 * 1024 * 1024;
@@ -78,29 +72,19 @@ type conn = {
   mutable dead : bool;  (** close and reap now *)
 }
 
-type reactor = {
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  inbox_mutex : Mutex.t;
-  inbox : Unix.file_descr Queue.t;
-  mutable conns : conn list;
-}
-
 type t = {
   config : config;
   store : Store.t option;
   peer_fetch : (string -> (string, Protocol.err) result) option;
-  cache : Ipds_core.System.t Shard_cache.t;
+  cache : Ipds_core.System.t Lru.t;
   fd : Unix.file_descr;
   sock_path : string option;
   stop_flag : bool Atomic.t;
   stop_r : Unix.file_descr;
   stop_w : Unix.file_descr;
-  reactors : reactor array;
-  mutable reactor_domains : unit Domain.t array;
-  mutable accept_domain : unit Domain.t option;
-  inflight : int Atomic.t;  (** queued reply bytes across all connections *)
-  rr : int Atomic.t;
+  mutable conns : conn list;
+  mutable inflight : int;  (** queued reply bytes across all connections *)
+  mutable loop_domain : unit Domain.t option;
 }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -108,10 +92,26 @@ let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 (* The empty-verdicts reply — the overwhelmingly common case — is one
    shared pre-encoded frame; queued chunks are write-only, so sharing
    the bytes across connections is safe.  Built eagerly at module
-   initialisation, before any reactor domain exists: a top-level [lazy]
-   forced by two reactors at once can raise
-   [CamlinternalLazy.Undefined]. *)
+   initialisation: servers in one process run their loops in separate
+   domains, and a top-level [lazy] forced by two of them at once can
+   raise [CamlinternalLazy.Undefined]. *)
 let empty_verdicts = Protocol.encode_frame (Protocol.Verdicts [])
+
+let overloaded detail =
+  Protocol.encode_frame
+    (Protocol.Error { Protocol.code = Protocol.Overloaded; detail })
+
+(* [Unix.select] fails with [EINVAL] on any descriptor at or past
+   FD_SETSIZE (1024), which would stop the loop for every client.  A
+   connection accepted past this bound is refused with one typed
+   [Overloaded] frame instead.  The listener and the stop pipe must sit
+   below it too; [start] checks. *)
+let max_conn_fd = 1000
+
+let refused = overloaded "too many connections; closing"
+
+(* On Unix a [file_descr] is the descriptor number. *)
+let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
 
 (* Header and CRC validation of each complete frame. *)
 let m_scan_micros = Reg.histogram ~stable:false "serve.scan_micros"
@@ -120,7 +120,7 @@ let m_scan_micros = Reg.histogram ~stable:false "serve.scan_micros"
 
 let release t conn n =
   conn.out_bytes <- conn.out_bytes - n;
-  ignore (Atomic.fetch_and_add t.inflight (-n))
+  t.inflight <- t.inflight - n
 
 let kill t conn =
   if not conn.dead then begin
@@ -135,7 +135,7 @@ let enqueue_raw t conn b =
   let len = Bytes.length b in
   Queue.add { chunk = b; off = 0 } conn.outq;
   conn.out_bytes <- conn.out_bytes + len;
-  ignore (Atomic.fetch_and_add t.inflight len)
+  t.inflight <- t.inflight + len
 
 (* The backpressure bound: a reply that would overflow the connection's
    queue or the global in-flight cap is replaced by one typed
@@ -149,25 +149,16 @@ let send t conn f =
       | f -> Protocol.encode_frame f
     in
     let len = Bytes.length b in
+    Reg.incr Session.m_frames_out;
     if
       conn.out_bytes + len > t.config.reply_queue_bytes
-      || Atomic.get t.inflight + len > t.config.inflight_bytes
+      || t.inflight + len > t.config.inflight_bytes
     then begin
       Reg.incr m_overloaded;
-      Reg.incr Session.m_frames_out;
-      enqueue_raw t conn
-        (Protocol.encode_frame
-           (Protocol.Error
-              {
-                Protocol.code = Protocol.Overloaded;
-                detail = "reply queue bound exceeded; closing";
-              }));
+      enqueue_raw t conn (overloaded "reply queue bound exceeded; closing");
       conn.closing <- true
     end
-    else begin
-      Reg.incr Session.m_frames_out;
-      enqueue_raw t conn b
-    end
+    else enqueue_raw t conn b
   end
 
 let rec flush_conn t conn =
@@ -280,47 +271,47 @@ let on_readable t conn =
     | exception Unix.Unix_error _ -> kill t conn
   done
 
-(* {2 Reactor} *)
+(* {2 The loop} *)
 
-let drain_wake fd =
-  let junk = Bytes.create 64 in
-  let rec go () =
-    match Unix.read fd junk 0 64 with
-    | 64 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
+let adopt t fd =
+  if fd_number fd > max_conn_fd then begin
+    Reg.incr m_overloaded;
+    (try
+       Unix.set_nonblock fd;
+       ignore (Unix.single_write fd refused 0 (Bytes.length refused))
+     with Unix.Unix_error _ -> ());
+    close_quiet fd
+  end
+  else begin
+    (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
+    let conn =
+      {
+        fd;
+        session =
+          Session.create ?peer_fetch:t.peer_fetch ~store:t.store ~cache:t.cache
+            ();
+        inbuf = Bytes.create 65536;
+        in_start = 0;
+        in_len = 0;
+        outq = Queue.create ();
+        out_bytes = 0;
+        last_active = Unix.gettimeofday ();
+        closing = false;
+        dead = false;
+      }
+    in
+    t.conns <- conn :: t.conns
+  end
 
-let adopt t r =
-  Mutex.lock r.inbox_mutex;
-  let fresh = Queue.fold (fun acc fd -> fd :: acc) [] r.inbox in
-  Queue.clear r.inbox;
-  Mutex.unlock r.inbox_mutex;
-  List.iter
-    (fun fd ->
-      (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
-      let conn =
-        {
-          fd;
-          session =
-            Session.create ?peer_fetch:t.peer_fetch ~store:t.store
-              ~cache:t.cache ();
-          inbuf = Bytes.create 65536;
-          in_start = 0;
-          in_len = 0;
-          outq = Queue.create ();
-          out_bytes = 0;
-          last_active = Unix.gettimeofday ();
-          closing = false;
-          dead = false;
-        }
-      in
-      r.conns <- conn :: r.conns)
-    fresh
+let rec accept_all t =
+  match Unix.accept t.fd with
+  | cfd, _ ->
+      adopt t cfd;
+      accept_all t
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_all t
+  | exception Unix.Unix_error _ -> ()
 
-let scan_timeouts t r =
+let scan_timeouts t =
   if t.config.session_timeout > 0. then begin
     let now = Unix.gettimeofday () in
     List.iter
@@ -335,102 +326,65 @@ let scan_timeouts t r =
               "session timed out waiting for a frame";
             conn.closing <- true
           end)
-      r.conns
+      t.conns
   end
 
-let reactor_loop t r =
+let reap t =
+  t.conns <-
+    List.filter
+      (fun c ->
+        if c.dead then false
+        else if c.closing && Queue.is_empty c.outq then begin
+          kill t c;
+          false
+        end
+        else true)
+      t.conns
+
+let serve_loop t =
   while not (Atomic.get t.stop_flag) do
-    adopt t r;
     let rds =
-      r.wake_r
+      t.fd :: t.stop_r
       :: List.filter_map
            (fun c -> if c.dead || c.closing then None else Some c.fd)
-           r.conns
+           t.conns
     in
     let wrs =
       List.filter_map
         (fun c -> if (not c.dead) && c.out_bytes > 0 then Some c.fd else None)
-        r.conns
+        t.conns
     in
-    (* With no idle timeout to police, sleep long: [stop] (and new
-       work) wakes the select through the self-pipe, so the period only
-       bounds how often a completely idle reactor spins. *)
-    let tmo = if t.config.session_timeout > 0. then 0.25 else 30. in
+    (* [stop] wakes the select through the stop pipe, so without an
+       idle timeout to police the loop can sleep until something
+       happens. *)
+    let tmo = if t.config.session_timeout > 0. then 0.25 else -1. in
     (match Unix.select rds wrs [] tmo with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (Unix.EBADF, _, _) -> ()
+    | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
     | rd, wr, _ ->
-        if List.mem r.wake_r rd then drain_wake r.wake_r;
-        adopt t r;
         List.iter
           (fun c -> if (not c.dead) && List.mem c.fd wr then flush_conn t c)
-          r.conns;
+          t.conns;
         List.iter
           (fun c -> if (not c.dead) && List.mem c.fd rd then on_readable t c)
-          r.conns;
+          t.conns;
         (* Optimistic flush: most replies fit the socket buffer and
            never wait for a writability round-trip. *)
         List.iter
           (fun c -> if (not c.dead) && c.out_bytes > 0 then flush_conn t c)
-          r.conns);
-    scan_timeouts t r;
-    r.conns <-
-      List.filter
-        (fun c ->
-          if c.dead then false
-          else if c.closing && Queue.is_empty c.outq then begin
-            kill t c;
-            false
-          end
-          else true)
-        r.conns
+          t.conns;
+        (* Reap before accepting, so descriptors freed by closed
+           sessions are reused instead of pushing new ones towards
+           [max_conn_fd]. *)
+        reap t;
+        if List.mem t.fd rd then accept_all t);
+    scan_timeouts t;
+    reap t
   done;
   (* Shutdown: one best-effort flush so already-queued replies reach
      well-behaved clients, then close everything. *)
-  List.iter (fun c -> flush_conn t c) r.conns;
-  List.iter (fun c -> kill t c) r.conns;
-  r.conns <- [];
-  adopt t r;
-  List.iter (fun c -> kill t c) r.conns;
-  r.conns <- []
-
-(* {2 Accept loop} *)
-
-let wake r =
-  let b = Bytes.make 1 '!' in
-  match Unix.write r.wake_w b 0 1 with
-  | _ -> ()
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      () (* a wake is already pending *)
-  | exception Unix.Unix_error _ -> ()
-
-let dispatch t cfd =
-  let i = Atomic.fetch_and_add t.rr 1 mod Array.length t.reactors in
-  let r = t.reactors.(i) in
-  Mutex.lock r.inbox_mutex;
-  Queue.add cfd r.inbox;
-  Mutex.unlock r.inbox_mutex;
-  wake r
-
-let accept_loop t =
-  while not (Atomic.get t.stop_flag) do
-    match Unix.select [ t.fd; t.stop_r ] [] [] (-1.) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | rd, _, _ ->
-        if List.mem t.stop_r rd then ()
-        else if List.mem t.fd rd then begin
-          let continue_ = ref true in
-          while !continue_ do
-            match Unix.accept t.fd with
-            | cfd, _ -> dispatch t cfd
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-              ->
-                continue_ := false
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            | exception Unix.Unix_error _ -> continue_ := false
-          done
-        end
-  done
+  List.iter (fun c -> flush_conn t c) t.conns;
+  List.iter (fun c -> kill t c) t.conns;
+  t.conns <- []
 
 (* {2 Lifecycle} *)
 
@@ -452,12 +406,6 @@ let claim_socket_path path =
       (try Unix.unlink path with Unix.Unix_error _ -> ())
   | _ -> raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", path))
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let nonblock_pipe () =
-  let r, w = Unix.pipe () in
-  (try Unix.set_nonblock r with Unix.Unix_error _ -> ());
-  (try Unix.set_nonblock w with Unix.Unix_error _ -> ());
-  (r, w)
 
 let start ?(config = default_config) (addr : address) =
   Protocol.ignore_sigpipe ();
@@ -483,9 +431,10 @@ let start ?(config = default_config) (addr : address) =
   in
   (* Built once per server: the fleet client's ring agrees with every
      other shard's by construction (same topology).  The fetch runs
-     inside the reactor handling the Load_key — blocking, but strictly
-     on the cold-miss path, where the alternative is a client-side
-     recompile costing far more. *)
+     inside the loop handling the Load_key — blocking, but strictly on
+     the cold-miss path, where the alternative is a client-side
+     recompile costing far more; the fetch socket's receive timeout
+     bounds the wait when two shards fetch from each other at once. *)
   let peer_fetch =
     Option.map
       (fun p ->
@@ -499,46 +448,28 @@ let start ?(config = default_config) (addr : address) =
           | Error e -> Error e)
       config.peers
   in
-  let shards = max 1 config.cache_shards in
-  let cache =
-    Shard_cache.create ~metrics_prefix:"serve.cache" ~shards
-      ~slots_per_shard:(max 1 ((max 1 config.cache_slots + shards - 1) / shards))
-      ()
-  in
-  let jobs = max 1 config.jobs in
-  let reactors =
-    Array.init jobs (fun _ ->
-        let wake_r, wake_w = nonblock_pipe () in
-        {
-          wake_r;
-          wake_w;
-          inbox_mutex = Mutex.create ();
-          inbox = Queue.create ();
-          conns = [];
-        })
-  in
-  let stop_r, stop_w = nonblock_pipe () in
+  let stop_r, stop_w = Unix.pipe () in
+  if fd_number fd > max_conn_fd || fd_number stop_r > max_conn_fd then begin
+    List.iter close_quiet [ fd; stop_r; stop_w ];
+    raise (Unix.Unix_error (Unix.EMFILE, "Server.start", "select limit"))
+  end;
   let t =
     {
       config;
       store;
       peer_fetch;
-      cache;
+      cache = Lru.create ~slots:config.cache_slots;
       fd;
       sock_path;
       stop_flag = Atomic.make false;
       stop_r;
       stop_w;
-      reactors;
-      reactor_domains = [||];
-      accept_domain = None;
-      inflight = Atomic.make 0;
-      rr = Atomic.make 0;
+      conns = [];
+      inflight = 0;
+      loop_domain = None;
     }
   in
-  t.reactor_domains <-
-    Array.map (fun r -> Domain.spawn (fun () -> reactor_loop t r)) reactors;
-  t.accept_domain <- Some (Domain.spawn (fun () -> accept_loop t));
+  t.loop_domain <- Some (Domain.spawn (fun () -> serve_loop t));
   t
 
 let port t =
@@ -548,24 +479,12 @@ let port t =
 
 let stop t =
   if not (Atomic.exchange t.stop_flag true) then begin
-    (* Self-pipes make shutdown prompt even when every loop is parked
-       in a long select: the accept loop on [stop_r], each reactor on
-       its wake pipe. *)
-    let b = Bytes.make 1 '!' in
-    (try ignore (Unix.write t.stop_w b 0 1) with Unix.Unix_error _ -> ());
-    Array.iter wake t.reactors;
-    (match t.accept_domain with
-    | Some d ->
-        Domain.join d;
-        t.accept_domain <- None
-    | None -> ());
-    Array.iter Domain.join t.reactor_domains;
-    t.reactor_domains <- [||];
-    Array.iter
-      (fun r ->
-        close_quiet r.wake_r;
-        close_quiet r.wake_w)
-      t.reactors;
+    (* The stop pipe makes shutdown prompt even when the loop is parked
+       in a select with no timeout. *)
+    (try ignore (Unix.write_substring t.stop_w "!" 0 1)
+     with Unix.Unix_error _ -> ());
+    Option.iter Domain.join t.loop_domain;
+    t.loop_domain <- None;
     close_quiet t.stop_r;
     close_quiet t.stop_w;
     close_quiet t.fd;

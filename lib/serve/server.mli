@@ -2,28 +2,29 @@
 
     Sessions speak {!Protocol} over a Unix-domain or loopback TCP
     socket: load an artifact (by store key or inline [.ipds] image),
-    begin a trace, stream batched events, collect verdicts.  Instead of
-    one blocking socket per client, [config.jobs] [Unix.select] reactor
-    domains each own a disjoint set of nonblocking connections; the
-    accept domain distributes sockets round-robin and wakes reactors
-    through self-pipes.  [Branch_events] frames stream straight into
+    begin a trace, stream batched events, collect verdicts.  One
+    [Unix.select] loop in one domain serves every session in order: the
+    listening socket, the stop pipe and the nonblocking connections
+    share its select set.  [Branch_events] frames stream straight into
     the checker (no event-list materialization); replies go through a
     bounded per-connection queue under a global in-flight byte cap, and
     a client that outruns either bound gets one typed [Overloaded]
     error frame and a drained close — backpressure, never unbounded
-    buffering.  Loaded systems live in an {!Ipds_fleet.Shard_cache} of
-    independently locked LRU shards.
+    buffering.  A connection accepted on a descriptor [select] cannot
+    watch gets the same typed refusal.  Loaded systems live in one
+    {!Lru}.  To use more cores, run more shard processes
+    ([ipds fleet --shards N]).
 
     Robustness is the contract: malformed, oversized, truncated,
     version-skewed or out-of-sequence frames produce one typed
     [Error] reply (counted in the [serve.*] metrics) and a closed
-    session — never a crash, never a wedged accept loop.  Stable
+    session — never a crash, never a wedged loop.  Stable
     metrics ([serve.sessions], [serve.frames_in/out], [serve.traces],
     [serve.events], [serve.branches], [serve.alarms],
     [serve.protocol_errors], [serve.state_errors]) sum per-session
-    deterministic work, so their totals are independent of [jobs] and
-    scheduling; timeout/cache/overload counters and the batch-latency
-    histogram are registered unstable. *)
+    deterministic work, so their totals are independent of how
+    sessions interleave; timeout/cache/overload counters and the
+    stage-latency histograms are registered unstable. *)
 
 type peer_sharing = {
   peer_topology : Ipds_fleet.Topology.t;
@@ -36,14 +37,15 @@ type peer_sharing = {
     ({!Ipds_artifact.Artifact.of_bytes} + {!Ipds_core.Image.validate} —
     peer bytes are untrusted input), publishes it to its own store and
     serves it — a cold shard warms itself instead of forcing a client
-    recompile.  Tracked by the [serve.artifact_*] counters. *)
+    recompile.  The fetch blocks the loop, but each wait for a peer's
+    reply is bounded (2 s), so two shards missing each other's keys at
+    once answer typed errors instead of waiting on each other for
+    good.  Tracked by the [serve.artifact_*] counters. *)
 
 type config = {
-  jobs : int;  (** reactor domains (≥ 1) *)
   max_frame : int;  (** payload-size limit, bytes *)
   session_timeout : float;  (** seconds a session may sit idle; 0 = none *)
-  cache_slots : int;  (** loaded systems kept across all cache shards *)
-  cache_shards : int;  (** independently locked cache shards (≥ 1) *)
+  cache_slots : int;  (** loaded systems kept in the LRU *)
   store_dir : string option;
       (** artifact store for [Load_key]; [None] uses the ambient store *)
   reply_queue_bytes : int;  (** per-connection reply-queue bound *)
@@ -52,9 +54,8 @@ type config = {
 }
 
 val default_config : config
-(** 1 reactor, 4 MiB frames, 30 s timeout, 8 cache slots over 4 shards,
-    ambient store, 8 MiB per-connection reply bound, 64 MiB global, no
-    peer sharing. *)
+(** 4 MiB frames, 30 s timeout, 8 cache slots, ambient store, 8 MiB
+    per-connection reply bound, 64 MiB global, no peer sharing. *)
 
 type address = [ `Unix of string | `Tcp of int ]
 (** [`Tcp port] binds the loopback interface; port 0 picks a free one
@@ -63,23 +64,24 @@ type address = [ `Unix of string | `Tcp of int ]
 type t
 
 val start : ?config:config -> address -> t
-(** Bind, listen and spawn the accept + reactor domains.  SIGPIPE is
-    set to ignored so a client disconnecting mid-reply surfaces as
-    [Unix_error EPIPE] in the reactor, not a fatal signal.  A stale
+(** Bind, listen and spawn the loop's domain.  SIGPIPE is set to
+    ignored so a client disconnecting mid-reply surfaces as
+    [Unix_error EPIPE] in the loop, not a fatal signal.  A stale
     socket file (one no server answers on) at a [`Unix] path is
     unlinked first; a live server's socket or a non-socket file raises
     [Unix_error (EADDRINUSE, _, _)].  Raises [Unix_error] if the
-    address cannot be bound. *)
+    address cannot be bound, and [Unix_error (EMFILE, _, _)] if the
+    listener lands on a descriptor [select] cannot watch. *)
 
 val port : t -> int option
 (** The bound TCP port ([None] for Unix-domain servers). *)
 
 val stop : t -> unit
-(** Stop promptly even mid-poll: self-pipes wake the accept loop and
-    every reactor out of [select] (reactors otherwise sleep up to 30 s
-    when [session_timeout] is 0), queued replies get one best-effort
-    flush, every connection is closed, the socket is closed and
-    unlinked.  Bounded; idempotent. *)
+(** Stop promptly even mid-poll: the stop pipe wakes the loop out of
+    [select] (which otherwise sleeps until traffic when
+    [session_timeout] is 0), queued replies get one best-effort flush,
+    every connection is closed, the socket is closed and unlinked.
+    Bounded; idempotent. *)
 
 val with_server : ?config:config -> address -> (t -> 'a) -> 'a
 (** [start], run, [stop] (also on exception). *)

@@ -1,18 +1,17 @@
-(* Per-connection protocol logic of the {!Server} event-loop reactor:
+(* Per-connection protocol logic of the {!Server} event loop:
    the frame state machine, the serve.* metrics, the typed error
    classification, and the [Branch_events] path, which walks a payload
    span straight into staging and the checker without a frame value.
 
    Stable counters are sums of per-session deterministic work, so their
-   totals are independent of scheduling and job count — the concurrency
-   determinism test relies on that.  Timeouts and cache traffic depend
-   on timing and session interleaving (LRU eviction order), so they are
-   unstable; so is the latency histogram. *)
+   totals are independent of how concurrent sessions interleave — the
+   concurrency determinism test relies on that.  Timeouts and cache
+   traffic depend on timing and session interleaving (LRU eviction
+   order), so they are unstable; so is the latency histogram. *)
 
 module System = Ipds_core.System
 module Checker = Ipds_core.Checker
 module Store = Ipds_artifact.Store
-module Shard_cache = Ipds_fleet.Shard_cache
 module Reg = Ipds_obs.Registry
 
 let m_sessions = Reg.counter "serve.sessions"
@@ -38,7 +37,7 @@ exception State_violation of string
 
 type t = {
   store : Store.t option;
-  cache : System.t Shard_cache.t;
+  cache : System.t Lru.t;
   peer_fetch : (string -> (string, Protocol.err) result) option;
   mutable system : System.t option;
   mutable images : Ipds_core.Image.t array;
@@ -154,7 +153,7 @@ let handle t ~send (f : Protocol.frame) =
                             ignore (Store.publish_image store key bytes);
                             Ok sys)))
           in
-          match Shard_cache.fetch t.cache key load with
+          match Lru.fetch t.cache key load with
           | `Hit sys -> loaded t ~send ~name:key sys ~cached:true
           | `Loaded sys -> loaded t ~send ~name:key sys ~cached:false
           | `Err (code, detail) ->
@@ -168,7 +167,7 @@ let handle t ~send (f : Protocol.frame) =
         | exception Ipds_artifact.Artifact.Corrupt m ->
             Error (Protocol.Corrupt_artifact, m)
       in
-      match Shard_cache.fetch t.cache key load with
+      match Lru.fetch t.cache key load with
       | `Hit sys -> loaded t ~send ~name sys ~cached:true
       | `Loaded sys -> loaded t ~send ~name sys ~cached:false
       | `Err (code, detail) ->

@@ -5,8 +5,8 @@
 module Reg = Ipds_obs.Registry
 
 (** Stable counters (per-session deterministic work; byte-identical
-    across jobs/scheduling) — the server bumps the frame counters
-    itself since framing is transport-side. *)
+    however concurrent sessions interleave) — the server bumps the
+    frame counters itself since framing is transport-side. *)
 
 val m_sessions : Reg.counter
 val m_frames_in : Reg.counter
@@ -48,7 +48,7 @@ type t
 val create :
   ?peer_fetch:(string -> (string, Protocol.err) result) ->
   store:Ipds_artifact.Store.t option ->
-  cache:Ipds_core.System.t Ipds_fleet.Shard_cache.t ->
+  cache:Ipds_core.System.t Lru.t ->
   unit ->
   t
 (** Counts [serve.sessions].  Loaded systems are looked up in and

@@ -11,7 +11,10 @@
    - with the whole fleet down, connect_for_key is a typed
      [Unavailable] error, not an exception;
    - a cold shard with its own store warms itself from a peer over the
-     artifact fetch frame, with zero compiles. *)
+     artifact fetch frame, with zero compiles;
+   - two shards that each miss keys the other holds, loaded cold in
+     both directions at once, answer every load (the peer fetch is
+     bounded by a receive timeout) and load every key on a retry. *)
 
 module P = Ipds_serve.Protocol
 module Server = Ipds_serve.Server
@@ -238,7 +241,7 @@ let () =
   let base4 = temp_path "-share.sock" in
   let topo4 = Topology.create ~shards:2 (`Unix base4) in
   let dirs = [| temp_path "-share-store0"; temp_path "-share-store1" |] in
-  let share_config i =
+  let share_config topo dirs i =
     {
       Server.default_config with
       cache_slots = 16;
@@ -246,7 +249,7 @@ let () =
       peers =
         Some
           {
-            Server.peer_topology = topo4;
+            Server.peer_topology = topo;
             peer_self = i;
             peer_backoff = backoff;
           };
@@ -257,7 +260,7 @@ let () =
     | `Unix path -> path
     | `Tcp _ -> fail "unix topology produced a tcp address"
   in
-  let s4 = Array.init 2 (fun i -> Server.start ~config:(share_config i) (`Unix (path4 i))) in
+  let s4 = Array.init 2 (fun i -> Server.start ~config:(share_config topo4 dirs i) (`Unix (path4 i))) in
   Fun.protect
     ~finally:(fun () ->
       Array.iter Server.stop s4;
@@ -311,4 +314,79 @@ let () =
   | Error e -> fail "fetch after push failed: %s" e.P.detail);
   Printf.printf
     "4 ok: cold shard warmed over the wire, zero compiles, verdicts identical\n%!";
+
+  section "5: two-way cold loads -- every load answers, a retry loads";
+  (* Each loop fetches inside the Load_key it is serving, so a shard
+     fetching from a peer whose loop is itself inside a fetch waits on
+     it; without a bound on that wait the two shards wedge for good. *)
+  let base5 = temp_path "-cross.sock" in
+  let topo5 = Topology.create ~shards:2 (`Unix base5) in
+  let dirs5 = [| temp_path "-cross-store0"; temp_path "-cross-store1" |] in
+  let path5 i =
+    match Topology.address topo5 i with
+    | `Unix path -> path
+    | `Tcp _ -> fail "unix topology produced a tcp address"
+  in
+  let s5 =
+    Array.init 2 (fun i ->
+        Server.start ~config:(share_config topo5 dirs5 i) (`Unix (path5 i)))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter Server.stop s5;
+      Array.iter
+        (fun d -> ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d))))
+        dirs5)
+  @@ fun () ->
+  (* shard i's store holds [held.(i)]; loads at shard i ask for the
+     keys only the other shard holds *)
+  let per_side = 4 in
+  let held =
+    Array.init 2 (fun i ->
+        let store = Store.create ~dir:dirs5.(i) in
+        List.filteri (fun j _ -> j / per_side = i) W.all
+        |> List.map (fun (w : W.t) ->
+               let key = "cross-" ^ w.W.name in
+               Store.publish_system store key (W.system w);
+               key))
+  in
+  let answered = Atomic.make 0 in
+  let load_at i key =
+    let c = Client.connect (`Unix (path5 i)) in
+    Fun.protect ~finally:(fun () -> Client.close c) (fun () -> Client.load_key c key)
+  in
+  let loaders =
+    Array.init 2 (fun i ->
+        Domain.spawn (fun () ->
+            List.map
+              (fun key ->
+                let r = load_at i key in
+                Atomic.incr answered;
+                (key, r))
+              held.(1 - i)))
+  in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while Atomic.get answered < 2 * per_side do
+    if Unix.gettimeofday () > deadline then
+      fail "two-way cold loads: %d of %d answered within 30 s"
+        (Atomic.get answered) (2 * per_side);
+    Unix.sleepf 0.05
+  done;
+  let first = Array.map Domain.join loaders in
+  let typed_errors = ref 0 in
+  Array.iter
+    (List.iter (fun (key, r) ->
+         match r with
+         | Ok _ -> ()
+         | Error (e : P.err) when e.P.code = P.Unknown_artifact -> incr typed_errors
+         | Error e ->
+             fail "%s: cold load gave %s, not loaded or unknown-artifact" key
+               (P.error_code_to_string e.P.code)))
+    first;
+  Array.iteri
+    (fun i keys -> List.iter (fun key -> ignore (ok (load_at i key))) keys)
+    [| held.(1); held.(0) |];
+  Printf.printf
+    "5 ok: %d two-way cold loads answered (%d typed misses), every retry loaded\n%!"
+    (2 * per_side) !typed_errors;
   print_endline "fleet smoke OK"

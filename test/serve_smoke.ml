@@ -7,20 +7,21 @@
    B. robustness: garbage, truncated, oversized, corrupt, out-of-state
       and silent sessions all get typed error replies, are counted in
       the metrics, and leave the server serving;
-   C. concurrency determinism: N concurrent client domains against
-      --jobs 1 vs --jobs 4 produce identical per-session verdicts and an
-      identical stable metrics section;
+   C. concurrency determinism: N concurrent client domains against the
+      one serve loop, run twice, produce per-session verdicts equal to
+      in-process checking and a byte-identical stable metrics section;
    D. lifecycle robustness: clients that vanish before reading replies
       must not kill the server (SIGPIPE), stop must return promptly with
-      silent and mid-trace clients even under --timeout 0 (the reactor's
-      self-pipe, not its poll period, bounds shutdown), the socket path
+      silent and mid-trace clients even under --timeout 0 (the stop
+      pipe, not a poll period, bounds shutdown), the socket path
       must never hijack a non-socket file or a live server's socket (but
       must reclaim a stale one), and an unresolvable host must surface
       as the typed connect error;
    E. backpressure: a client that streams events without reading replies
       past the per-connection reply-queue bound (or the global in-flight
       cap) gets exactly one typed Overloaded error as the final frame
-      before EOF, and the server keeps serving other sessions. *)
+      before EOF, and the server keeps serving other sessions; so does a
+      crowd of connections whose descriptors pass select's FD_SETSIZE. *)
 
 module P = Ipds_serve.Protocol
 module Server = Ipds_serve.Server
@@ -163,7 +164,7 @@ let phase_a () =
   let store_dir = temp_path "-store" in
   let store = Store.create ~dir:store_dir in
   let config =
-    { Server.default_config with jobs = 2; cache_slots = 16; store_dir = Some store_dir }
+    { Server.default_config with cache_slots = 16; store_dir = Some store_dir }
   in
   let total_tampered_alarms = ref 0 in
   let misses0 = cval "serve.cache_misses" and hits0 = cval "serve.cache_hits" in
@@ -260,7 +261,6 @@ let phase_b () =
   let config =
     {
       Server.default_config with
-      jobs = 2;
       max_frame = 65_536;
       session_timeout = 1.0;
     }
@@ -363,7 +363,7 @@ let phase_b () =
 (* ---------- phase C: concurrency determinism ---------- *)
 
 let phase_c () =
-  section "C: N concurrent clients, --jobs 1 vs 4: identical verdicts + stable metrics";
+  section "C: N concurrent clients, two rounds: identical verdicts + stable metrics";
   (* precompute everything so the measured rounds do only protocol work *)
   let picks = [ "telnetd"; "wu-ftpd"; "xinetd" ] in
   let sessions =
@@ -379,10 +379,10 @@ let phase_c () =
         ])
       picks
   in
-  let round jobs =
+  let round i =
     Reg.reset ();
-    let sock = temp_path (Printf.sprintf "-c%d.sock" jobs) in
-    let config = { Server.default_config with jobs; cache_slots = 16 } in
+    let sock = temp_path (Printf.sprintf "-c%d.sock" i) in
+    let config = { Server.default_config with cache_slots = 16 } in
     let results =
       Server.with_server ~config (`Unix sock) (fun _server ->
           let domains =
@@ -406,11 +406,17 @@ let phase_c () =
     (results, stable)
   in
   let r1, s1 = round 1 in
-  let r4, s4 = round 4 in
-  if r1 <> r4 then fail "per-session verdicts differ between --jobs 1 and 4";
-  if s1 <> s4 then begin
-    Printf.eprintf "jobs=1: %s\njobs=4: %s\n" s1 s4;
-    fail "stable metrics differ between --jobs 1 and 4"
+  let r2, s2 = round 2 in
+  List.iter2
+    (fun (name, _, run) (_, verdicts, _) ->
+      if verdicts <> render run.alarms then
+        fail "%s: concurrent session verdicts differ from in-process checking"
+          name)
+    sessions r1;
+  if r1 <> r2 then fail "per-session verdicts differ between the two rounds";
+  if s1 <> s2 then begin
+    Printf.eprintf "round 1: %s\nround 2: %s\n" s1 s2;
+    fail "stable metrics differ between the two rounds"
   end;
   if String.length s1 <= 2 then fail "stable metrics are empty";
   (* sanity: the rounds really did serve traffic *)
@@ -451,9 +457,9 @@ let phase_d () =
       assert_equivalent ~what:"post-disconnect" run (remote_check c run);
       Client.close c);
   (* D2: with session_timeout = 0 a session has no idle policing and
-     the reactor parks in a long select; stop must still return
-     promptly — the self-pipe, not the poll period, bounds shutdown —
-     with both a silent connection and a live mid-trace session open. *)
+     the loop parks in a select with no timeout; stop must still return
+     promptly — the stop pipe bounds shutdown — with both a silent
+     connection and a live mid-trace session open. *)
   let sock = temp_path "-d0.sock" in
   let config = { Server.default_config with session_timeout = 0. } in
   let open_fds = ref [] in
@@ -465,7 +471,7 @@ let phase_d () =
       ignore (ok (Client.load_image c ~name:w.W.name image));
       let tr = ok (Client.trace ~batch:10 c) in
       List.iter tr.Client.sink (List.filteri (fun i _ -> i < 50) run.events);
-      (* let the reactor absorb both sessions and park in select *)
+      (* let the loop absorb both sessions and park in select *)
       Unix.sleepf 0.2);
   let elapsed = Unix.gettimeofday () -. t0 in
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !open_fds;
@@ -615,6 +621,52 @@ let overload_round ~what config sock (prefix, branch_ev) w image run =
     fail "%s: serve.overloaded did not count the shed" what;
   verdicts
 
+(* [Unix.select] cannot watch a descriptor at or past FD_SETSIZE (1024).
+   Open a crowd of idle connections to an in-process server (the test's
+   client ends and the server's ends share one descriptor table), so
+   the last ones are accepted past that limit: each must get one typed
+   [Overloaded] refusal instead of stopping the loop, and once the crowd
+   is gone a new client must be served. *)
+let crowd = 1100
+
+let fd_limit () =
+  let ic = Unix.open_process_in "ulimit -n" in
+  let line = try String.trim (input_line ic) with End_of_file -> "" in
+  ignore (Unix.close_process_in ic);
+  if line = "unlimited" then max_int
+  else Option.value (int_of_string_opt line) ~default:0
+
+let fd_bound_leg w image run =
+  let limit = fd_limit () in
+  if limit < (2 * crowd) + 256 then
+    Printf.printf "E: fd-bound leg skipped: fd limit %d is too low for %d connections\n%!"
+      limit crowd
+  else begin
+    let sock = temp_path "-e3.sock" in
+    let overloaded0 = cval "serve.overloaded" in
+    Server.with_server (`Unix sock) (fun _server ->
+        let fds = List.init crowd (fun _ -> raw_connect sock) in
+        let last = List.nth fds (crowd - 1) in
+        Unix.setsockopt_float last Unix.SO_RCVTIMEO 5.0;
+        (match P.input_frame (P.reader last) with
+        | P.In_frame (P.Error e) when e.P.code = P.Overloaded -> ()
+        | P.In_frame _ -> fail "fd bound: expected a typed Overloaded refusal"
+        | P.In_eof -> fail "fd bound: connection closed without a typed refusal"
+        | P.In_error e ->
+            fail "fd bound: no refusal within 5 s (%s)"
+              (P.error_code_to_string e.P.code));
+        List.iter Unix.close fds;
+        let c = Client.connect (`Unix sock) in
+        Client.set_timeout c 5.0;
+        ignore (ok (Client.load_image c ~name:w.W.name image));
+        assert_equivalent ~what:"fd bound/after the crowd" run (remote_check c run);
+        Client.close c);
+    let refused = cval "serve.overloaded" - overloaded0 in
+    if refused < 1 then fail "fd bound: serve.overloaded did not count a refusal";
+    Printf.printf "E ok: %d of %d crowded connections refused with a typed Overloaded\n%!"
+      refused crowd
+  end
+
 let phase_e () =
   section "E: unread replies past the bounds -> one typed Overloaded, then EOF";
   let w = W.find "telnetd" in
@@ -648,7 +700,8 @@ let phase_e () =
     "E ok: typed Overloaded after %d / %d unread verdict frames; server \
      survived both sheds\n\
      %!"
-    v1 v2
+    v1 v2;
+  fd_bound_leg w image run
 
 let () =
   phase_a ();
