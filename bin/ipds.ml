@@ -6,7 +6,7 @@
      ipds attack   FILE          run a tamper campaign
      ipds perf     FILE          timing model, baseline vs IPDS
      ipds compile  FILE -o F     analyze and save a .ipds object file
-     ipds inspect  FILE          section/CRC report of a .ipds file
+     ipds inspect  FILE          digest/section report of a .ipds file
      ipds serve                  run the streaming verdict server
      ipds fleet --shards N       run N servers sharded by artifact key
      ipds check-remote FILE      verify remote checking against in-process
@@ -521,8 +521,8 @@ let inspect_cmd =
   Cmd.v
     (Cmd.info "inspect"
        ~doc:
-         "Print the section/CRC report of a .ipds object file, flagging any \
-          corruption.")
+         "Print the digest check and section report of a .ipds object file, \
+          flagging any corruption.")
     Term.(const run $ file_arg)
 
 (* ---------- serve / check-remote ---------- *)

@@ -121,4 +121,4 @@ let func_fingerprint t ~fname =
       Buffer.add_string buf (string_of_int v.Mir.Var.id);
       Buffer.add_char buf ',')
     t.address_taken;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Sha256.string (Buffer.contents buf)

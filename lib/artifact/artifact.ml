@@ -302,12 +302,8 @@ type inspection = {
 
 let inspect_bytes bytes =
   let file = Object_file.info_of_bytes bytes in
-  let intact =
-    file.Object_file.digest_ok
-    && List.for_all (fun s -> s.Object_file.s_crc_ok) file.Object_file.sections
-  in
   let funcs =
-    if not intact then None
+    if not file.Object_file.digest_ok then None
     else
       match of_bytes bytes with
       | sys ->
@@ -336,10 +332,8 @@ let pp_inspection ppf t =
     (if i.Object_file.digest_ok then "(ok)" else "(MISMATCH)");
   List.iter
     (fun (s : Object_file.section_info) ->
-      Format.fprintf ppf "  section %-8s  offset %6d  %7d bytes  crc 0x%08lx %s@."
-        s.Object_file.s_name s.Object_file.s_offset s.Object_file.s_length
-        s.Object_file.s_crc
-        (if s.Object_file.s_crc_ok then "ok" else "BAD CRC"))
+      Format.fprintf ppf "  section %-8s  offset %6d  %7d bytes@."
+        s.Object_file.s_name s.Object_file.s_offset s.Object_file.s_length)
     i.Object_file.sections;
   match t.funcs with
   | None -> Format.fprintf ppf "  (tables not decodable: file is corrupt)@."
@@ -349,7 +343,7 @@ let pp_inspection ppf t =
           Format.fprintf ppf
             "  func %-16s entry 0x%x  %3d branches  digest %s  BSV %d / BCV %d / BAT %d bits@."
             f.fname f.entry_pc f.n_branches
-            (String.sub f.digest 0 (min 12 (String.length f.digest)))
+            (String.sub (Sha256.to_hex f.digest) 0 12)
             f.sizes.Core.Tables.bsv_bits f.sizes.Core.Tables.bcv_bits
             f.sizes.Core.Tables.bat_bits)
         funcs

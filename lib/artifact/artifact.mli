@@ -1,4 +1,4 @@
-(** Versioned, checksummed IPDS object files ("[.ipds]"), format v2.
+(** Versioned, digest-checked IPDS object files ("[.ipds]"), format v4.
 
     The paper's deployment model has the compiler attach the packed
     BSV/BCV/BAT images to the binary and the IPDS unit load them at run
@@ -36,7 +36,7 @@
 
 exception Corrupt of string
 (** Alias of {!Object_file.Corrupt}: any integrity failure — bad magic,
-    version skew, digest/CRC mismatch, malformed or inconsistent
+    version skew, digest mismatch, malformed or inconsistent
     sections. *)
 
 val to_bytes : Ipds_core.System.t -> Bytes.t
@@ -77,7 +77,7 @@ type func_summary = {
   fname : string;
   entry_pc : int;
   n_branches : int;
-  digest : string;
+  digest : string;  (** raw SHA-256, hex-encoded by {!pp_inspection} *)
   sizes : Ipds_core.Tables.sizes;
 }
 
@@ -89,7 +89,8 @@ type inspection = {
 
 val inspect_bytes : Bytes.t -> inspection
 (** Raises {!Corrupt} only if the container header is unreadable;
-    per-section damage is reported in {!Object_file.info}. *)
+    damage is reported as a digest mismatch in {!Object_file.info}
+    (with [funcs = None]). *)
 
 val inspect_file : string -> inspection
 val pp_inspection : Format.formatter -> inspection -> unit

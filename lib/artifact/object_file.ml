@@ -4,25 +4,17 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 let magic = "IPDSOBJF"
 
-(* v3: the whole-file digest is SHA-256 (collision-resistant content
-   addressing, a prerequisite for trusting artifacts fetched from fleet
-   peers), growing the header from 32 to 48 bytes.  v2 files (16-byte
-   MD5 digest at offset 16) and v1 files (monolithic "tables" section)
-   fail the version check and load as a clean miss. *)
-let format_version = 3
+(* The whole-file SHA-256 is the only integrity check: a per-section
+   CRC would cover bytes the digest already covers.  Older versions
+   (v1-v3) fail the version check and load as a clean miss. *)
+let format_version = 4
 let header_bytes = 48
 let digest_bytes = Sha256.digest_length
-let entry_bytes = 20
+let entry_bytes = 16
 let name_bytes = 8
 let max_sections = 4096
 
-type section_info = {
-  s_name : string;
-  s_offset : int;
-  s_length : int;
-  s_crc : int32;
-  s_crc_ok : bool;
-}
+type section_info = { s_name : string; s_offset : int; s_length : int }
 
 type info = {
   version : int;
@@ -61,7 +53,6 @@ let to_bytes ~sections =
       Bytes.blit_string name 0 buf e (String.length name);
       Bytes.set_int32_le buf (e + 8) (Int32.of_int !off);
       Bytes.set_int32_le buf (e + 12) (Int32.of_int (Bytes.length payload));
-      Bytes.set_int32_le buf (e + 16) (Crc32.all payload);
       Bytes.blit payload 0 buf !off (Bytes.length payload);
       off := !off + Bytes.length payload)
     sections;
@@ -92,13 +83,12 @@ let read_table buf =
       in
       let offset = Int32.to_int (Bytes.get_int32_le buf (e + 8)) in
       let length = Int32.to_int (Bytes.get_int32_le buf (e + 12)) in
-      let crc = Bytes.get_int32_le buf (e + 16) in
       if
         offset < header_bytes + (n * entry_bytes)
         || length < 0
         || offset + length > len
       then corrupt "section %s out of bounds" name;
-      (name, offset, length, crc))
+      { s_name = name; s_offset = offset; s_length = length })
 
 let digest_ok buf =
   let stored = Bytes.sub_string buf 16 digest_bytes in
@@ -110,31 +100,16 @@ let digest_ok buf =
 let of_bytes buf =
   let entries = read_table buf in
   if not (digest_ok buf) then corrupt "whole-file digest mismatch";
-  List.map
-    (fun (name, offset, length, crc) ->
-      if Crc32.bytes buf ~pos:offset ~len:length <> crc then
-        corrupt "CRC mismatch in section %s" name;
-      (name, Bytes.sub buf offset length))
-    entries
+  List.map (fun s -> (s.s_name, Bytes.sub buf s.s_offset s.s_length)) entries
 
 let info_of_bytes buf =
-  let entries = read_table buf in
+  let sections = read_table buf in
   {
     version = Int32.to_int (Bytes.get_int32_le buf 8);
     file_bytes = Bytes.length buf;
     digest_hex = Sha256.to_hex (Bytes.sub_string buf 16 digest_bytes);
     digest_ok = digest_ok buf;
-    sections =
-      List.map
-        (fun (name, offset, length, crc) ->
-          {
-            s_name = name;
-            s_offset = offset;
-            s_length = length;
-            s_crc = crc;
-            s_crc_ok = Crc32.bytes buf ~pos:offset ~len:length = crc;
-          })
-        entries;
+    sections;
   }
 
 let read_file path =

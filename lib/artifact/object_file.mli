@@ -1,5 +1,5 @@
-(** The generic container of an IPDS object file: magic, format version
-    and a checksummed section table.
+(** The generic container of an IPDS object file: magic, format version,
+    a section table and one whole-file digest.
 
     Layout (all integers little-endian):
     {v
@@ -7,20 +7,22 @@
     8   4   format version (u32)
     12  4   section count (u32)
     16  32  SHA-256 digest of everything from byte 48 to end of file
-    48  20n section table: 8-byte NUL-padded name, u32 offset,
-            u32 length, u32 CRC-32 of the payload
+    48  16n section table: 8-byte NUL-padded name, u32 offset,
+            u32 length
     ...     payloads, in table order
     v}
 
-    The digest is the file's content address: collision-resistant, so a
-    byte-identical digest from an untrusted peer names byte-identical
-    content.  v2 files carried a 16-byte MD5 there; they fail the
-    version check and load as a clean miss (the store rebuilds them).
+    The digest is the file's content address and its only integrity
+    check: collision-resistant, so a byte-identical digest from an
+    untrusted peer names byte-identical content, and it covers every
+    byte after the header.  Older files (v3 with a CRC-32 per section,
+    v2 with a 16-byte MD5 digest, v1) fail the version check and load
+    as a clean miss (the store rebuilds them).
 
-    {!of_bytes} verifies the magic, version, whole-file digest and every
-    section CRC; any mismatch raises {!Corrupt}, which the store layer
-    treats as a cache miss.  {!info_of_bytes} is the forgiving variant
-    for [ipds inspect]: it reports per-section CRC status instead of
+    {!of_bytes} verifies the magic, version, table bounds and the
+    whole-file digest; any mismatch raises {!Corrupt}, which the store
+    layer treats as a cache miss.  {!info_of_bytes} is the forgiving
+    variant for [ipds inspect]: it reports the digest status instead of
     raising, so a corrupted file can still be described. *)
 
 exception Corrupt of string
@@ -41,13 +43,7 @@ val to_bytes : sections:(string * Bytes.t) list -> Bytes.t
 val of_bytes : Bytes.t -> (string * Bytes.t) list
 (** Fully verified sections in file order; raises {!Corrupt}. *)
 
-type section_info = {
-  s_name : string;
-  s_offset : int;
-  s_length : int;
-  s_crc : int32;
-  s_crc_ok : bool;
-}
+type section_info = { s_name : string; s_offset : int; s_length : int }
 
 type info = {
   version : int;

@@ -4,7 +4,7 @@
     compile options, analysis options, artifact format version) and live
     at [<dir>/<k₀k₁>/<key>.ipds].  Publishing is atomic (temp file +
     rename), so concurrent processes sharing a directory can only ever
-    observe complete files; a truncated, CRC-mismatched or
+    observe complete files; a truncated, digest-mismatched or
     version-skewed entry is treated as a miss and rebuilt, never a
     crash.
 

@@ -57,4 +57,5 @@ module Reader = struct
 
   let align_byte t = t.bit <- (t.bit + 7) / 8 * 8
   let bits_read t = t.bit
+  let bits_left t = (8 * Bytes.length t.buf) - t.bit
 end

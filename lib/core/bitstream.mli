@@ -25,4 +25,7 @@ module Reader : sig
 
   val align_byte : t -> unit
   val bits_read : t -> int
+
+  val bits_left : t -> int
+  (** Bits not yet read: the most a decoder may still pull. *)
 end

@@ -94,6 +94,16 @@ let read_function_full r =
   let space = Hash.space hash in
   let ptr_bits = max 1 (ceil_log2 (n_nodes + 1)) in
   let slot_bits = max 1 space_bits in
+  (* Size the arrays below only from bits the section really holds: BCV,
+     row heads and node pool.  [space] is checked alone first so the sum
+     cannot overflow (space_bits 62 even wraps [space] negative). *)
+  let left = R.bits_left r in
+  if
+    space_bits > 61 || space > left
+    || space + (((2 * space) + 1) * ptr_bits)
+       + (n_nodes * (slot_bits + 2 + ptr_bits))
+       > left
+  then invalid_arg "Encode: table sizes exceed the section";
   let bcv = Array.make (max 1 ((space + 31) lsr 5)) 0 in
   for slot = 0 to space - 1 do
     if R.pull r ~width:1 = 1 then

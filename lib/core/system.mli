@@ -11,8 +11,9 @@
 type func_info = {
   entry_pc : int;
   digest : string;
-      (** hex content digest of everything the per-function stage can
-          observe; keys the incremental per-function artifact cache *)
+      (** raw 32-byte SHA-256 content digest of everything the
+          per-function stage can observe; keys the incremental
+          per-function artifact cache *)
   tables : Tables.t;
   image : Image.t;
       (** compiled flat checker image; built once here (or decoded

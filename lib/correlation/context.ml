@@ -60,12 +60,11 @@ let slice_fingerprint pw (func : Mir.Func.t) =
       (fun c -> c ^ "=" ^ Alias.Summary.fingerprint (pw.summaries c))
       (List.sort String.compare !callees)
   in
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          (Alias.Points_to.func_fingerprint pw.points_to ~fname:func.Mir.Func.name
-          :: string_of_int pw.prog.Mir.Program.var_count
-          :: callee_part)))
+  Sha256.string
+    (String.concat "\x00"
+       (Alias.Points_to.func_fingerprint pw.points_to ~fname:func.Mir.Func.name
+       :: string_of_int pw.prog.Mir.Program.var_count
+       :: callee_part))
 
 let kills_of_cell t cell =
   let out = ref [] in

@@ -29,7 +29,7 @@ val for_func :
     feasible paths only.  Default: the unpruned function. *)
 
 val slice_fingerprint : program_wide -> Ipds_mir.Func.t -> string
-(** Hex digest of the program-wide state one function's analysis can
+(** Raw SHA-256 digest of the program-wide state one function's analysis can
     observe: its points-to slice, the summaries of its callees and the
     program-wide variable numbering.  Combined with the function body,
     base PC and analysis options it forms the content digest that keys

@@ -1,11 +1,11 @@
 (* One stable hash for ring point placement, which needs a hash that is
    identical across processes and OCaml versions; that rules out
-   [Hashtbl.hash].  MD5 is already a hard dependency of the artifact
-   store, so we reuse it: the first eight digest bytes, folded
-   little-endian and masked positive, give a uniform 62-bit point. *)
+   [Hashtbl.hash].  SHA-256 is the repo's one content hash, so we reuse
+   it: the first eight digest bytes, folded little-endian and masked
+   positive, give a uniform 62-bit point. *)
 
 let stable_hash s =
-  let d = Digest.string s in
+  let d = Sha256.string s in
   let b i = Char.code d.[i] in
   let v =
     b 0

@@ -57,7 +57,12 @@ let lex src =
       while !i < n && is_digit src.[!i] do
         incr i
       done;
-      push (INT (int_of_string (String.sub src start (!i - start))))
+      let lit = String.sub src start (!i - start) in
+      match int_of_string_opt lit with
+      | Some v -> push (INT v)
+      | None ->
+          raise
+            (Parse_error (Printf.sprintf "line %d: literal %s overflows" !line lit))
     end
     else if is_ident_char c then begin
       let start = !i in

@@ -414,9 +414,6 @@ let get_u32_le b pos =
   let byte i = Char.code (Bytes.get b (pos + i)) in
   byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
 
-let crc b ~pos ~len =
-  Int32.to_int (Ipds_artifact.Crc32.bytes b ~pos ~len) land 0xFFFF_FFFF
-
 (* Write the header at [pos] for a payload already in place after it,
    and the CRC trailer after the payload ([b] has room for it). *)
 let frame_around b ~pos ~tag ~plen =
@@ -424,7 +421,8 @@ let frame_around b ~pos ~tag ~plen =
   Bytes.set b (pos + 4) (Char.chr version);
   Bytes.set b (pos + 5) (Char.chr tag);
   set_u32_le b (pos + 6) plen;
-  set_u32_le b (pos + header_bytes + plen) (crc b ~pos ~len:(header_bytes + plen))
+  set_u32_le b (pos + header_bytes + plen)
+    (Crc32.bytes b ~pos ~len:(header_bytes + plen))
 
 let encode_frame f =
   let e = enc_create 64 in
@@ -519,7 +517,7 @@ let scan_at ?(max_frame = default_max_frame) buf ~pos ~len =
       Scan_need (header_bytes + plen + trailer_bytes)
     else if
       get_u32_le buf (pos + header_bytes + plen)
-      <> crc buf ~pos ~len:(header_bytes + plen)
+      <> Crc32.bytes buf ~pos ~len:(header_bytes + plen)
     then Scan_fail { code = Bad_crc; detail = "frame CRC mismatch" }
     else
       Scan_frame

@@ -71,12 +71,12 @@ let create ?peer_fetch ~store ~cache () =
 (* The cache key of an inline image: the server and routing clients
    must derive it identically.  SHA-256 so the key is
    a collision-resistant content address, like store keys. *)
-let image_key image = "img:" ^ Ipds_artifact.Sha256.hex_string image
+let image_key image = "img:" ^ Sha256.hex_string image
 
 (* Full verification of untrusted container bytes (a pushed artifact or
-   one fetched from a peer): container digest, section CRCs, complete
-   decode and structural validation of every flat image.  Anything less
-   would let a forged frame publish unservable — or wrong — tables. *)
+   one fetched from a peer): the whole-file digest, complete decode and
+   structural validation of every flat image.  Anything less would let
+   a forged frame publish unservable — or wrong — tables. *)
 let verify_image bytes =
   match Ipds_artifact.Artifact.of_bytes bytes with
   | sys -> (

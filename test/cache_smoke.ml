@@ -142,8 +142,8 @@ let driver () =
       let ins = A.inspect_file victim in
       if ins.A.file.Obj.digest_ok then
         fail "inspect missed the flipped byte in %s" victim;
-      if List.for_all (fun s -> s.Obj.s_crc_ok) ins.A.file.Obj.sections then
-        fail "inspect reports no bad section CRC in %s" victim);
+      if ins.A.funcs <> None then
+        fail "inspect decoded the damaged tables in %s" victim);
   let corrupt_s = run "corrupt" 3 in
   let cold = read_file (out "cold") in
   if cold = "" then fail "cold run produced an empty report";

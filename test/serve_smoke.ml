@@ -21,7 +21,12 @@
       past the per-connection reply-queue bound (or the global in-flight
       cap) gets exactly one typed Overloaded error as the final frame
       before EOF, and the server keeps serving other sessions; so does a
-      crowd of connections whose descriptors pass select's FD_SETSIZE. *)
+      crowd of connections whose descriptors pass select's FD_SETSIZE;
+   F. hostile content behind a valid digest: an artifact whose code
+      section carries a literal past the int range, re-wrapped with a
+      fresh SHA-256, gets a typed corrupt-artifact reply as Load_image
+      and as Push_artifact, and the same server then serves a normal
+      session. *)
 
 module P = Ipds_serve.Protocol
 module Server = Ipds_serve.Server
@@ -30,6 +35,7 @@ module W = Ipds_workloads.Workloads
 module Core = Ipds_core
 module M = Ipds_machine
 module A = Ipds_artifact.Artifact
+module Obj = Ipds_artifact.Object_file
 module Store = Ipds_artifact.Store
 module Reg = Ipds_obs.Registry
 
@@ -703,10 +709,82 @@ let phase_e () =
     v1 v2;
   fd_bound_leg w image run
 
+(* ---------- phase F: hostile content behind a valid digest ---------- *)
+
+(* The code section of [image] with its first integer literal (a digit
+   run that does not continue an identifier) widened past the int
+   range, re-wrapped with a fresh, valid whole-file digest. *)
+let with_huge_literal image =
+  let is_ident c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+    || c = '_'
+  in
+  let is_digit c = c >= '0' && c <= '9' in
+  let widen text =
+    let n = String.length text in
+    let rec start i =
+      if i >= n then fail "code section has no integer literal"
+      else if is_digit text.[i] && (i = 0 || not (is_ident text.[i - 1])) then i
+      else start (i + 1)
+    in
+    let s = start 0 in
+    let rec stop i = if i < n && is_digit text.[i] then stop (i + 1) else i in
+    let e = stop s in
+    String.sub text 0 s ^ "99999999999999999999" ^ String.sub text e (n - e)
+  in
+  Obj.to_bytes
+    ~sections:
+      (List.map
+         (fun (name, payload) ->
+           if name = "code" then
+             (name, Bytes.of_string (widen (Bytes.to_string payload)))
+           else (name, payload))
+         (Obj.of_bytes image))
+
+let phase_f () =
+  section "F: a literal past the int range behind a valid digest -> typed";
+  let sock = temp_path "-f.sock" in
+  let store_dir = temp_path "-f-store" in
+  let w = W.find "telnetd" in
+  let system = W.system w in
+  let image = A.to_bytes system in
+  let hostile = with_huge_literal image in
+  let run = local_run system (W.program w) ~seed:2006 ~tamper:None in
+  let config = { Server.default_config with store_dir = Some store_dir } in
+  let expect_corrupt what = function
+    | Ok _ -> fail "%s: hostile artifact accepted" what
+    | Error (e : P.err) when e.P.code = P.Corrupt_artifact -> ()
+    | Error (e : P.err) ->
+        fail "%s: expected corrupt-artifact, got %s (%s)" what
+          (P.error_code_to_string e.P.code)
+          e.P.detail
+  in
+  Server.with_server ~config (`Unix sock) (fun _server ->
+      (* a dead serve loop would never answer: bound every wait *)
+      let session f =
+        let c = Client.connect (`Unix sock) in
+        Client.set_timeout c 5.0;
+        Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+      in
+      session (fun c ->
+          expect_corrupt "Load_image" (Client.load_image c ~name:"hostile" hostile));
+      let key = "smoke-hostile" in
+      session (fun c ->
+          expect_corrupt "Push_artifact" (Client.push_artifact c ~key hostile));
+      if Store.load_system (Store.create ~dir:store_dir) key <> None then
+        fail "a rejected push reached the store";
+      session (fun c ->
+          if ok (Client.load_image c ~name:w.W.name image) then
+            fail "post-hostile: expected a cold load";
+          assert_equivalent ~what:"post-hostile" run (remote_check c run)));
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote store_dir)));
+  print_endline "F ok: typed corrupt-artifact for both paths, server still serves"
+
 let () =
   phase_a ();
   phase_b ();
   phase_c ();
   phase_d ();
   phase_e ();
+  phase_f ();
   print_endline "serve smoke OK"

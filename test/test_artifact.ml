@@ -109,11 +109,12 @@ let test_checker_equivalence () =
 
 (* ---------- SHA-256 ---------- *)
 
-(* FIPS 180-4 test vectors: the store's content addresses and the
-   object-file digest both stand on this implementation, so it is
-   pinned to the published vectors, not just to self-consistency. *)
+(* FIPS 180-4 test vectors: every content address in the repo (store
+   keys, object-file digests, function digests, ring placement) stands
+   on this implementation, so it is pinned to the published vectors,
+   not just to self-consistency. *)
 let test_sha256_fips_vectors () =
-  let module H = Ipds_artifact.Sha256 in
+  let module H = Sha256 in
   check_str "empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     (H.hex_string "");
   check_str "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
@@ -162,13 +163,57 @@ let test_truncation_detected () =
         | exception A.Corrupt _ -> true))
     [ 0; 4; Obj.header_bytes - 1; Obj.header_bytes; Bytes.length good - 1 ]
 
+(* Anyone can recompute the whole-file SHA-256, so the digest says
+   nothing about whether a container is well formed: the section
+   decoders themselves must turn any damage behind a valid digest into
+   [Corrupt].  Fixed seed; per built-in workload, [cases] mutants each
+   rewrite 1-3 bytes of one section and re-wrap it with a fresh digest.
+   Half the rewrites land in the first 32 bytes of the section, where
+   the decoders read the counts and sizes they allocate by.  A mutant
+   must decode to a system whose images all pass [Image.validate], or
+   raise [Corrupt]; any other exception fails. *)
+let test_redigested_damage_typed () =
+  let cases = 100 in
+  let rng = Random.State.make [| 2006 |] in
+  List.iter
+    (fun w ->
+      let sections = Obj.of_bytes (A.to_bytes (system_of w)) in
+      for case = 1 to cases do
+        let victim = Random.State.int rng (List.length sections) in
+        let mutated =
+          List.mapi
+            (fun i (name, payload) ->
+              if i <> victim || Bytes.length payload = 0 then (name, payload)
+              else begin
+                let p = Bytes.copy payload in
+                let len = Bytes.length p in
+                for _ = 1 to 1 + Random.State.int rng 3 do
+                  let span = if Random.State.bool rng then min 32 len else len in
+                  Bytes.set p (Random.State.int rng span)
+                    (Char.chr (Random.State.int rng 256))
+                done;
+                (name, p)
+              end)
+            sections
+        in
+        match A.of_bytes (Obj.to_bytes ~sections:mutated) with
+        | sys ->
+            List.iter
+              (fun (_, (i : Core.System.func_info)) ->
+                Core.Image.validate i.Core.System.image)
+              sys.Core.System.funcs
+        | exception A.Corrupt _ -> ()
+        | exception e ->
+            Alcotest.failf "%s case %d (section %s): unexpected %s" w.W.name
+              case (fst (List.nth sections victim)) (Printexc.to_string e)
+      done)
+    W.all
+
 let test_inspect_reports_damage () =
   let sys = system_of (W.find "telnetd") in
   let good = A.to_bytes sys in
   let ins = A.inspect_bytes good in
   check "digest ok on good file" true ins.A.file.Obj.digest_ok;
-  check "all section CRCs ok" true
-    (List.for_all (fun s -> s.Obj.s_crc_ok) ins.A.file.Obj.sections);
   check "functions decodable" true (ins.A.funcs <> None);
   (* flip one byte inside the first section's payload *)
   let first = List.hd ins.A.file.Obj.sections in
@@ -177,10 +222,10 @@ let test_inspect_reports_damage () =
   Bytes.set bad i (Char.chr (Char.code (Bytes.get bad i) lxor 1));
   let ins2 = A.inspect_bytes bad in
   check "digest mismatch reported" false ins2.A.file.Obj.digest_ok;
-  check "bad CRC localized to the damaged section" true
-    (List.exists
-       (fun s -> s.Obj.s_name = first.Obj.s_name && not s.Obj.s_crc_ok)
-       ins2.A.file.Obj.sections)
+  check "damaged file is not decoded" true (ins2.A.funcs = None);
+  check "section table still described" true
+    (List.map (fun s -> s.Obj.s_name) ins2.A.file.Obj.sections
+    = List.map (fun s -> s.Obj.s_name) ins.A.file.Obj.sections)
 
 (* ---------- files and the store ---------- *)
 
@@ -249,43 +294,47 @@ let write_file path buf =
   output_bytes oc buf;
   close_out oc
 
-(* A v2 (or any older-format) entry left over from a previous release
-   must read as a clean miss — counted corrupt, rebuilt, never a crash
-   and never a silent misparse. *)
+(* A v1, v2 or v3 entry left over from a previous release must read as
+   a clean miss — counted corrupt, rebuilt, never a crash and never a
+   silent misparse. *)
 let test_version_skew_clean_miss () =
-  with_temp_dir (fun dir ->
-      Store.reset_counters ();
-      let store = Store.create ~dir in
-      let w = W.find "telnetd" in
-      let key =
-        Store.key ~source:w.W.source ~promote:true
-          ~options:Ipds_correlation.Analysis.default_options
-      in
-      Store.publish_system store key (system_of w);
-      let path = Store.path_of_key store key in
-      let buf = read_file path in
-      (* rewrite the format-version field (u32 LE at offset 8) to v2 *)
-      Bytes.set_int32_le buf 8 2l;
-      write_file path buf;
-      check "v2 entry decodes as Corrupt" true
-        (match A.of_bytes buf with
-        | _ -> false
-        | exception A.Corrupt msg ->
-            (* the reason names the version skew, not a generic failure *)
-            let has_sub s sub =
-              let n = String.length sub in
-              let rec go i =
-                i + n <= String.length s
-                && (String.sub s i n = sub || go (i + 1))
-              in
-              go 0
-            in
-            has_sub msg "version");
-      check "v2 entry is a clean store miss" true
-        (Store.load_system store key = None);
-      let c = Store.counters () in
-      check_int "skew counted corrupt" 1 c.Store.corrupt;
-      check_int "skew counted miss" 1 c.Store.misses)
+  List.iter
+    (fun old ->
+      with_temp_dir (fun dir ->
+          Store.reset_counters ();
+          let store = Store.create ~dir in
+          let w = W.find "telnetd" in
+          let key =
+            Store.key ~source:w.W.source ~promote:true
+              ~options:Ipds_correlation.Analysis.default_options
+          in
+          Store.publish_system store key (system_of w);
+          let path = Store.path_of_key store key in
+          let buf = read_file path in
+          (* rewrite the format-version field (u32 LE at offset 8) *)
+          Bytes.set_int32_le buf 8 (Int32.of_int old);
+          write_file path buf;
+          let what = Printf.sprintf "v%d entry" old in
+          check (what ^ " decodes as Corrupt") true
+            (match A.of_bytes buf with
+            | _ -> false
+            | exception A.Corrupt msg ->
+                (* the reason names the version skew, not a generic failure *)
+                let has_sub s sub =
+                  let n = String.length sub in
+                  let rec go i =
+                    i + n <= String.length s
+                    && (String.sub s i n = sub || go (i + 1))
+                  in
+                  go 0
+                in
+                has_sub msg "version");
+          check (what ^ " is a clean store miss") true
+            (Store.load_system store key = None);
+          let c = Store.counters () in
+          check_int "skew counted corrupt" 1 c.Store.corrupt;
+          check_int "skew counted miss" 1 c.Store.misses))
+    [ 1; 2; 3 ]
 
 (* The collision-detection table: an occupied key is byte-compared on
    every publish; different valid content is counted and refused, a
@@ -390,27 +439,6 @@ let test_malformed_keys_rejected () =
         | _ -> false
         | exception Invalid_argument _ -> true))
 
-(* Regression for the multicore-safety fix in Crc32: the lookup table
-   used to be a top-level [lazy], and concurrent [Lazy.force] from
-   several domains could raise CamlinternalLazy.Undefined.  Hammer the
-   table from many domains at once and check every result agrees. *)
-let test_crc_domain_stress () =
-  let module Crc = Ipds_artifact.Crc32 in
-  let payload = Bytes.init 8192 (fun i -> Char.chr ((i * 131 + 17) land 0xff)) in
-  let domains =
-    List.init 8 (fun d ->
-        Domain.spawn (fun () ->
-            List.init 50 (fun i ->
-                Crc.bytes payload ~pos:(d + i) ~len:(4096 + d + i))))
-  in
-  let per_domain = List.map Domain.join domains in
-  let reference d =
-    List.init 50 (fun i -> Crc.bytes payload ~pos:(d + i) ~len:(4096 + d + i))
-  in
-  check "all domains agree with sequential reference" true
-    (List.for_all2 (fun d got -> got = reference d)
-       (List.init 8 Fun.id) per_domain)
-
 (* The pass-pipeline invariant: fanning the per-function passes over a
    domain pool is invisible in the output — byte-identical .ipds
    artifacts and identical Fig. 7/Fig. 8 numbers for any job count. *)
@@ -468,8 +496,10 @@ let () =
           Alcotest.test_case "every byte flip" `Quick test_every_byte_flip_detected;
           Alcotest.test_case "truncation" `Quick test_truncation_detected;
           Alcotest.test_case "inspect reports damage" `Quick test_inspect_reports_damage;
-          Alcotest.test_case "v2 version skew is a clean miss" `Quick
+          Alcotest.test_case "v1-v3 version skew is a clean miss" `Quick
             test_version_skew_clean_miss;
+          Alcotest.test_case "re-digested section damage: typed result" `Quick
+            test_redigested_damage_typed;
         ] );
       ( "store",
         [
@@ -484,8 +514,6 @@ let () =
             test_malformed_keys_rejected;
           Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
         ] );
-      ( "crc32",
-        [ Alcotest.test_case "domain stress" `Quick test_crc_domain_stress ] );
       ( "determinism",
         [
           Alcotest.test_case "jobs 1 vs 4 byte-identical" `Quick

@@ -344,7 +344,25 @@ let test_encode_malformed () =
     (try
        ignore (Core.Encode.decode_function Bytes.empty);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* a header claiming a hash space or node pool larger than the
+     section holds is rejected before anything is sized by it:
+     [Invalid_argument], never [Out_of_memory] or a multi-gigabyte
+     allocation *)
+  List.iter
+    (fun (space_bits, n_nodes) ->
+      let w = Core.Bitstream.Writer.create () in
+      List.iter
+        (fun (width, v) -> Core.Bitstream.Writer.push w ~width v)
+        [ (16, 1); (8, Char.code 'f'); (32, 0x1000); (8, 1); (8, 1);
+          (8, space_bits); (16, 0); (16, n_nodes); (62, 0) ];
+      check
+        (Printf.sprintf "space_bits %d, %d nodes rejected" space_bits n_nodes)
+        true
+        (match Core.Encode.decode_function (Core.Bitstream.Writer.contents w) with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ (40, 0); (61, 0); (62, 0); (0, 65535) ]
 
 (* ---------- oracle equivalence ----------
 

@@ -225,7 +225,14 @@ let test_parser_errors () =
   check "unknown var" true (bad "func main() {\ne:\n r0 = load nope\n ret\n}");
   check "bad cmp" true
     (bad "func main() {\ne:\n br zz r0, 1, e, e\n}");
-  check "missing brace" true (bad "func main() {\ne:\n ret")
+  check "missing brace" true (bad "func main() {\ne:\n ret");
+  (* a digit run past the int range is a typed Parse_error, never
+     [Failure "int_of_string"] *)
+  let literal n = Printf.sprintf "func main() {\ne:\n r0 = %s\n ret\n}" n in
+  check "literal past the int range" true (bad (literal "99999999999999999999"));
+  check "negative literal past the int range" true
+    (bad (literal "-99999999999999999999"));
+  check "max_int still parses" false (bad (literal (string_of_int max_int)))
 
 let test_printer_negative_and_empty () =
   let src =

@@ -231,14 +231,35 @@ let forge ?(version = P.version) ~tag payload =
     Bytes.set b (6 + i) (Char.chr ((plen lsr (8 * i)) land 0xFF))
   done;
   Bytes.blit_string payload 0 b P.header_bytes plen;
-  let crc =
-    Int32.to_int (Ipds_artifact.Crc32.bytes b ~pos:0 ~len:(P.header_bytes + plen))
-    land 0xFFFF_FFFF
-  in
+  let crc = Ipds_serve.Crc32.bytes b ~pos:0 ~len:(P.header_bytes + plen) in
   for i = 0 to 3 do
     Bytes.set b (P.header_bytes + plen + i) (Char.chr ((crc lsr (8 * i)) land 0xFF))
   done;
   Bytes.to_string b
+
+(* Regression for the multicore-safety fix in Crc32: the lookup table
+   used to be a top-level [lazy], and concurrent [Lazy.force] from
+   several domains could raise CamlinternalLazy.Undefined.  Hammer the
+   table from many domains at once and check every result agrees. *)
+let test_crc_domain_stress () =
+  let module Crc = Ipds_serve.Crc32 in
+  let payload = Bytes.init 8192 (fun i -> Char.chr ((i * 131 + 17) land 0xff)) in
+  let domains =
+    List.init 8 (fun d ->
+        Domain.spawn (fun () ->
+            List.init 50 (fun i ->
+                Crc.bytes payload ~pos:(d + i) ~len:(4096 + d + i))))
+  in
+  let per_domain = List.map Domain.join domains in
+  let reference d =
+    List.init 50 (fun i -> Crc.bytes payload ~pos:(d + i) ~len:(4096 + d + i))
+  in
+  Alcotest.(check bool) "all domains agree with sequential reference" true
+    (List.for_all2 (fun d got -> got = reference d)
+       (List.init 8 Fun.id) per_domain);
+  (* and the table is the IEEE one: the standard check value *)
+  Alcotest.(check int) "check value" 0xCBF43926
+    (Crc.bytes (Bytes.of_string "123456789") ~pos:0 ~len:9)
 
 let expect_code name code s =
   match P.decode_string s with
@@ -573,6 +594,8 @@ let () =
         ] );
       ( "client",
         [ Alcotest.test_case "failed connects leak no fd" `Quick test_connect_no_fd_leak ] );
+      ( "crc32",
+        [ Alcotest.test_case "domain stress" `Quick test_crc_domain_stress ] );
       ( "artifact-sharing",
         [
           Alcotest.test_case "push/fetch round trip" `Quick
